@@ -24,6 +24,7 @@ from .fields import (
 from .gradcheck import GradReport, finite_diff_gradient, run_gradcheck
 from .losses import (
     LineRegions,
+    LineTarget,
     LossConfig,
     LossValue,
     build_line_regions,
@@ -32,6 +33,7 @@ from .losses import (
     dice_loss,
     equipotential_dice,
     equipotential_line_loss,
+    line_target,
     point_loss,
 )
 from .metrics import EvalReport, boundary_band, boundary_fmeasure, evaluate_pair, miou, trimap_iou
@@ -44,6 +46,7 @@ __all__ = [
     "EvalReport",
     "GradReport",
     "LineRegions",
+    "LineTarget",
     "LossConfig",
     "LossValue",
     "Sample",
@@ -67,6 +70,7 @@ __all__ = [
     "forward",
     "generate_dataset",
     "generate_mixed_dataset",
+    "line_target",
     "make_splitter",
     "miou",
     "one_hot",

@@ -173,29 +173,41 @@ def _write_history(out_dir: Path, history: list[dict]) -> None:
         writer.writerows(history)
 
 
+def _checkpoint_train_config(stem, sidecar: dict) -> model.TrainConfig:
+    """The training config recorded in a checkpoint's sidecar."""
+    try:
+        return model.TrainConfig(**sidecar.get("config", {}))
+    except TypeError as exc:
+        raise io.FormatError(f"{stem}: sidecar config is not a training config ({exc})") from None
+
+
 def cmd_loss(args) -> int:
+    """Losses of a checkpoint under the converter, kernel, splitter, mu and weights it used."""
     cfg = config_mod.load_config(args.config, _flag_overrides(args, {"seed": ("seed",)}))
     samples, _ = datagen.read_dataset(args.data)
-    net, _sidecar = model.load_checkpoint(args.checkpoint)
-    loss_cfg = config_mod.build_loss_config(cfg)
-    ac_cfg = config_mod.build_ac_config(cfg)
+    net, sidecar = model.load_checkpoint(args.checkpoint)
+    train_cfg = _checkpoint_train_config(args.checkpoint, sidecar)
+    loss_cfg = train_cfg.loss_config()
     sums = {"cross_entropy": 0.0, "point": 0.0, "line": 0.0, "dice": 0.0, "combined": 0.0}
     for s in samples:
         probs = net.forward(s.image)
         gt = one_hot(s.labels, net.num_classes)
-        e_gt = anisotropic_convolve(gt, ac_cfg)
-        e_pred = anisotropic_convolve(probs, ac_cfg)
+        target = model.ground_truth(s.labels, net.num_classes, train_cfg)
+        e_pred = model.convert(probs, train_cfg)
         ce = cross_entropy_loss(probs, s.labels)
-        pt = point_loss(e_gt, e_pred, loss_cfg)
-        ln = equipotential_line_loss(e_gt, e_pred, loss_cfg, ac_cfg.radius)
+        pt = point_loss(target.energies, e_pred, loss_cfg)
+        ln = equipotential_line_loss(target, e_pred, loss_cfg, train_cfg.kernel_size // 2)
         sums["cross_entropy"] += ce.value
         sums["point"] += pt.value
         sums["line"] += ln.value
         sums["dice"] += dice_loss(probs, gt).value
         sums["combined"] += combine_losses(ce, pt, ln, loss_cfg).value
     n = len(samples)
+    used = {key: getattr(train_cfg, key) for key in (
+        "converter", "kernel_size", "splitter", "mu_exp", "lambda1", "lambda2", "norm", "reduction",
+    )}
     records = [
-        {"loss_name": name, "value": total / n, "config": cfg["loss"], "seed": cfg["seed"]}
+        {"loss_name": name, "value": total / n, "config": used, "seed": cfg["seed"]}
         for name, total in sums.items()
     ]
     if args.out:

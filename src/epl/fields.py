@@ -174,11 +174,6 @@ def standard_convolve(field, kernel_size: int) -> np.ndarray:
     return out
 
 
-def standard_convolve_adjoint(grad, kernel_size: int) -> np.ndarray:
-    """Adjoint of standard_convolve; the box kernel is symmetric, so it is the same box sum."""
-    return standard_convolve(grad, kernel_size)
-
-
 def potential_oracle(field, cfg: ACConfig) -> np.ndarray:
     """Reference conversion by per-pixel ray walking.
 

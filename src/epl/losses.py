@@ -14,6 +14,19 @@ line loss differentiable everywhere; the sorted equal-count line regions are
 still available via :func:`build_line_regions` for diagnostics and
 visualization.  All computation is float64 with fixed summation order, so
 results are deterministic.
+
+The ground-truth side of the line loss depends on the labels alone, so
+:func:`line_target` builds it once per sample and training reuses it at
+every step.  It keeps the integer energies in the smallest integer dtype
+(uint8 for every converter and kernel the CLI offers), three scalars per
+(level, direction, class) -- whether the level has a ground-truth pixel,
+the membership mass and its squared mass -- and one small table per level
+from which the memberships are gathered.  At 64x64 with 3 classes, splitter
+A and kernel 7 that is 48 KiB per sample; no float64 plane is cached.  The
+prediction side is evaluated a block of (direction, class) planes at a time
+for each level, with each float64 temporary capped at LINE_BLOCK_BYTES so a
+block stays in L2.  Both paths keep the summation order of one plane at a
+time, so the results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -29,6 +42,21 @@ EMPTY_LEVEL_EPS = 1e-12
 #: Classes whose combined prediction + ground-truth mass is below this are
 #: left out of the dice mean.
 EMPTY_CLASS_EPS = 1e-12
+
+#: Cap on the size of each float64 temporary of the line loss.  Planes are
+#: processed a few rows of (direction, class) at a time, so a step's working
+#: set stays within a typical 2 MiB L2: 4 planes at 64x64, 1 at 96x96.
+#: Broadcasting over every plane at once was slower at 96x96.
+LINE_BLOCK_BYTES = 128 * 1024
+
+#: np.exp underflows to exactly 0.0 at or below this (the threshold is
+#: log(2**-1075) = -745.13...).  Lanes that underflow take numpy's slow
+#: scalar path, so the line loss writes their zero without calling exp.
+EXP_ZERO_BELOW = -746.0
+
+#: Largest integer range of ground-truth energies that the per-level
+#: membership tables of :class:`LineTarget` may cover.
+MAX_ENERGY_SPAN = 1 << 16
 
 #: Probabilities are clamped to at least this before the log in cross-entropy.
 PROB_CLAMP = 1e-12
@@ -165,63 +193,167 @@ def build_line_regions(gt_plane, pred_plane, radius: int) -> LineRegions:
 
 
 def _int_pow(x: np.ndarray, n: int) -> np.ndarray:
-    """x**n for integer n >= 1 by squaring; much faster than np.power here."""
+    """x**n for integer n >= 1 by squaring; much faster than np.power here.
+
+    For n == 1 the result is x itself, not a copy.
+    """
     result = None
     base = x
     while n:
         if n & 1:
-            result = base.copy() if result is None else result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
     return result
 
 
-def _edc_terms(gt, pred, mu: int, radius: int, want_grad: bool):
-    """Yield (direction, class, level, edc, grad_plane) per non-empty level.
+@dataclass(frozen=True)
+class LineTarget:
+    """The ground-truth side of the line loss, fixed by the labels.
 
-    gt and pred are (|S|, K, H, W); edc is None for skipped (empty) levels.
-    The gradient plane, when requested, is d(1 - edc)/d pred for that term.
+    ``energies`` holds the integer ground-truth energies (|S|, K, H, W) in
+    the smallest integer dtype that fits them.  ``luts[t]`` maps an integer
+    energy k to the membership ``exp(-(k - (t + 1))**mu)``; a negative k
+    indexes from the end of the table, as numpy indexing does.  ``present``,
+    ``mass`` and ``sq_mass`` are (radius, |S| * K): whether the level has a
+    ground-truth pixel, and the sums of the memberships and of their squares.
     """
-    n_dirs, n_classes = gt.shape[:2]
-    for si in range(n_dirs):
-        for ci in range(n_classes):
-            g = gt[si, ci]
-            p = pred[si, ci]
-            for tau in range(1, radius + 1):
-                if not (g == tau).any():
-                    # No ground-truth line at this level: nothing to match
-                    # (a class absent from a direction carries no contour).
-                    yield si, ci, tau, None, None
-                    continue
-                d = np.exp(-_int_pow(g - tau, mu))
-                mass = d.sum()
-                if mass < EMPTY_LEVEL_EPS:
-                    yield si, ci, tau, None, None
-                    continue
-                sq_mass = (d * d).sum()
-                c_norm = mass / sq_mass
-                dp = p - tau
-                dp_pow = _int_pow(dp, mu - 1)
-                d_hat = np.exp(-(dp_pow * dp))
-                inter = (d * d_hat).sum()
-                denom = mass + d_hat.sum()
-                edc = 2.0 * c_norm * inter / denom
-                grad = None
-                if want_grad:
-                    coeff = 2.0 * c_norm / (denom * denom)
-                    grad = coeff * (d * denom - inter) * mu * dp_pow * d_hat
-                yield si, ci, tau, edc, grad
+
+    energies: np.ndarray
+    mu: int
+    radius: int
+    luts: np.ndarray
+    present: np.ndarray
+    mass: np.ndarray
+    sq_mass: np.ndarray
 
 
-def _check_line_inputs(e_gt, e_pred) -> tuple[np.ndarray, np.ndarray]:
-    gt, pred = _paired_energies(e_gt, e_pred)
-    if not np.array_equal(np.rint(gt), gt):
-        raise ValueError("ground-truth energies must be integer-valued")
-    return gt, pred
+def line_target(e_gt, mu: int, radius: int) -> LineTarget:
+    """Build the ground-truth side of the line loss once, for reuse at every step.
+
+    e_gt is (|S|, K, H, W) and must be integer-valued; its whole integer
+    range (for example 0..kernel_size**2 for the box filter) is covered.
+    """
+    if not isinstance(mu, int) or mu < 2 or mu % 2 != 0:
+        raise ValueError(f"mu must be an even integer >= 2, got {mu!r}")
+    gt = np.asarray(e_gt)
+    if gt.ndim != 4:
+        raise ValueError(f"energies must have shape (|S|, classes, height, width), got {gt.shape}")
+    if not np.issubdtype(gt.dtype, np.integer):
+        as_float = gt.astype(np.float64)
+        if not (np.isfinite(as_float).all() and np.array_equal(np.rint(as_float), as_float)):
+            raise ValueError("ground-truth energies must be integer-valued")
+    lo, hi = (int(gt.min()), int(gt.max())) if gt.size else (0, 0)
+    if hi - lo >= MAX_ENERGY_SPAN:
+        raise ValueError(
+            f"ground-truth energies span [{lo}, {hi}], more than {MAX_ENERGY_SPAN} integers"
+        )
+    if lo >= 0:
+        dtype = np.min_scalar_type(hi)
+    else:  # a signed type that holds both -hi - 1 and lo
+        dtype = np.result_type(np.min_scalar_type(lo), np.min_scalar_type(-hi - 1))
+    energies = gt.astype(dtype)
+    # Table index k holds energy k for k >= 0; negative energies wrap to the end.
+    values = np.concatenate([np.arange(max(hi, -1) + 1), np.arange(min(lo, 0), 0)])
+    levels = np.arange(1, radius + 1, dtype=np.float64)
+    luts = np.exp(-_int_pow(values[None, :] - levels[:, None], mu))
+    n_dirs, n_classes, h, w = gt.shape
+    codes = energies.reshape(n_dirs * n_classes, h * w)
+    present = np.empty((radius, codes.shape[0]), dtype=bool)
+    mass = np.empty(present.shape)
+    sq_mass = np.empty(present.shape)
+    for t in range(radius):
+        d = np.take(luts[t], codes)
+        present[t] = (codes == t + 1).any(axis=1)
+        mass[t] = d.sum(axis=1)
+        sq_mass[t] = (d * d).sum(axis=1)
+    return LineTarget(energies, mu, radius, luts, present, mass, sq_mass)
 
 
-def equipotential_line_loss(e_gt, e_pred, cfg: LossConfig, radius: int) -> LossValue:
+def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
+    """EDC per (direction, class, level), which terms count, and their gradient.
+
+    gt is a LineTarget or the raw ground-truth energies.  Returns the EDC
+    array (|S|, K, radius) with NaN at skipped levels, the boolean mask of
+    scored terms that are not capped (EDC < 1, or NaN from a non-finite
+    prediction), and, on request, the gradient of their sum of (1 - EDC)
+    w.r.t. the prediction.
+
+    Planes are processed in blocks of whole rows, so that each float64
+    temporary stays within LINE_BLOCK_BYTES, and each block goes through
+    the levels in order: every gradient element sums its terms in level
+    order and every row sum is the plane's own pairwise sum, as when one
+    plane was scored at a time.
+    """
+    target = gt if isinstance(gt, LineTarget) else line_target(gt, mu, radius)
+    if (target.mu, target.radius) != (mu, radius):
+        raise ValueError(
+            f"line target was built for mu={target.mu}, radius={target.radius}; "
+            f"got mu={mu}, radius={radius}"
+        )
+    pred = np.asarray(e_pred, dtype=np.float64)
+    if pred.shape != target.energies.shape:
+        raise ValueError(f"energy shapes differ: {target.energies.shape} vs {pred.shape}")
+    n_dirs, n_classes, h, w = pred.shape
+    n_rows = n_dirs * n_classes
+    p_rows = pred.reshape(n_rows, h * w)
+    codes = target.energies.reshape(n_rows, h * w)
+    valid = target.present & (target.mass >= EMPTY_LEVEL_EPS)
+    c_norm = np.divide(target.mass, target.sq_mass, out=np.zeros(valid.shape), where=valid)
+    edc = np.full((n_dirs, n_classes, radius), np.nan)
+    edc_rows = edc.reshape(n_rows, radius)
+    grad = np.zeros_like(pred) if want_grad else None
+    g_rows = grad.reshape(n_rows, h * w) if want_grad else None
+    counted = np.zeros(edc.shape, dtype=bool)
+    counted_rows = counted.reshape(n_rows, radius)
+    step = max(1, LINE_BLOCK_BYTES // max(1, 8 * h * w))
+    for r0 in range(0, n_rows, step):
+        rows = slice(r0, r0 + step)
+        p = p_rows[rows]
+        for t in range(radius):
+            ok = valid[t, rows]
+            if not ok.any():
+                continue
+            tau = t + 1
+            dp = p - tau
+            dp_pow = _int_pow(dp, mu - 1)
+            arg = dp_pow * dp
+            np.negative(arg, out=arg)
+            zero = arg <= EXP_ZERO_BELOW
+            if zero.any():
+                d_hat = np.exp(arg, out=np.zeros_like(arg), where=~zero)
+            else:
+                d_hat = np.exp(arg, out=arg)
+            d = np.take(target.luts[t], codes[rows])
+            inter = (d * d_hat).sum(axis=1)
+            mass = target.mass[t, rows]
+            denom = mass + d_hat.sum(axis=1)
+            value = np.divide(2.0 * c_norm[t, rows] * inter, denom,
+                              out=np.full(denom.shape, np.nan), where=ok)
+            edc_rows[rows, t] = value
+            useful = ok & ~(value >= 1.0)
+            counted_rows[rows, t] = useful
+            if not want_grad or not useful.any():
+                continue
+            coeff = np.divide(2.0 * c_norm[t, rows], denom * denom,
+                              out=np.zeros(denom.shape), where=ok)
+            # coeff * (d * denom - inter) * mu * dp_pow * d_hat, in place.
+            term = np.multiply(d, denom[:, None], out=d)
+            term -= inter[:, None]
+            np.multiply(coeff[:, None], term, out=term)
+            term *= mu
+            term *= dp_pow
+            term *= d_hat
+            if useful.all():
+                g_rows[rows] += term
+            else:
+                for i in np.flatnonzero(useful):
+                    g_rows[r0 + i] += term[i]
+    return edc, counted, grad
+
+
+def equipotential_line_loss(gt, e_pred, cfg: LossConfig, radius: int) -> LossValue:
     """Accumulated (1 - EDC) over classes, directions, and levels 1..radius.
 
     Per term: d = exp(-(gt - level)**mu) and d_hat likewise on the
@@ -231,28 +363,24 @@ def equipotential_line_loss(e_gt, e_pred, cfg: LossConfig, radius: int) -> LossV
     ground-truth line is not a mismatch), so every term is nonnegative and
     capped terms contribute no gradient.  The accumulated total is divided
     by the direction count.  Levels whose ground-truth line is empty (no
-    pixel at exactly that energy) are skipped.
+    pixel at exactly that energy) are skipped.  gt is the ground-truth
+    energy array or the LineTarget built from it by :func:`line_target`.
     """
-    gt, pred = _check_line_inputs(e_gt, e_pred)
+    edc, counted, grad = _line_terms(gt, e_pred, cfg.mu_exp, radius, want_grad=True)
     total = 0.0
-    grad = np.zeros_like(pred)
-    for si, ci, _tau, edc, term_grad in _edc_terms(gt, pred, cfg.mu_exp, radius, want_grad=True):
-        if edc is None or edc >= 1.0:
-            continue
-        total += 1.0 - edc
-        grad[si, ci] += term_grad
-    scale = 1.0 / gt.shape[0]
+    for term in (1.0 - edc[counted]).tolist():  # (direction, class, level) order
+        total += term
+    scale = 1.0 / grad.shape[0]
     return LossValue(total * scale, grad * scale)
 
 
-def equipotential_dice(e_gt, e_pred, cfg: LossConfig, radius: int) -> np.ndarray:
-    """Per-(direction, class, level) EDC values in [0, 1]; NaN marks skipped levels."""
-    gt, pred = _check_line_inputs(e_gt, e_pred)
-    out = np.full((gt.shape[0], gt.shape[1], radius), np.nan)
-    for si, ci, tau, edc, _ in _edc_terms(gt, pred, cfg.mu_exp, radius, want_grad=False):
-        if edc is not None:
-            out[si, ci, tau - 1] = min(edc, 1.0)
-    return out
+def equipotential_dice(gt, e_pred, cfg: LossConfig, radius: int) -> np.ndarray:
+    """Per-(direction, class, level) EDC values in [0, 1]; NaN marks skipped levels.
+
+    gt is the ground-truth energy array or a LineTarget, as for the line loss.
+    """
+    edc, _, _ = _line_terms(gt, e_pred, cfg.mu_exp, radius, want_grad=False)
+    return np.minimum(edc, 1.0)
 
 
 def cross_entropy_loss(pred, labels) -> LossValue:

@@ -27,9 +27,15 @@ from .fields import (
     one_hot,
     shift2d,
     standard_convolve,
-    standard_convolve_adjoint,
 )
-from .losses import LossConfig, cross_entropy_loss, equipotential_line_loss, point_loss
+from .losses import (
+    LineTarget,
+    LossConfig,
+    cross_entropy_loss,
+    equipotential_line_loss,
+    line_target,
+    point_loss,
+)
 
 HIDDEN = 8
 CONVERTERS = ("ac", "sc")
@@ -230,7 +236,8 @@ def forward(net: TinyNet, image, trace: list | None = None) -> np.ndarray:
     return net.forward(image, trace)
 
 
-def _convert(field: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+def convert(field: np.ndarray, cfg: TrainConfig) -> np.ndarray:
+    """Potential energies (|S|, K, H, W) of a (K, H, W) field under cfg's converter."""
     if cfg.converter == "sc":
         return standard_convolve(field, cfg.kernel_size)[None]
     return anisotropic_convolve(field, cfg.ac_config())
@@ -238,27 +245,44 @@ def _convert(field: np.ndarray, cfg: TrainConfig) -> np.ndarray:
 
 def _convert_adjoint(energy_grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     if cfg.converter == "sc":
-        return standard_convolve_adjoint(energy_grad[0], cfg.kernel_size)
+        # The box kernel is symmetric, so the box sum is its own adjoint.
+        return standard_convolve(energy_grad[0], cfg.kernel_size)
     return ac_adjoint(energy_grad, cfg.ac_config())
 
 
-def backward(net: TinyNet, image, labels, cfg: TrainConfig):
-    """Loss terms and the flat parameter gradient of the combined objective."""
+def ground_truth(labels, num_classes: int, cfg: TrainConfig) -> LineTarget:
+    """Everything the potential-domain losses need from one label map.
+
+    Labels never change during training, so this runs once per sample:
+    the one-hot field, its conversion and the ground-truth side of the line
+    loss.  The point loss reads the same integer energies.
+    """
+    e_gt = convert(one_hot(labels, num_classes), cfg)
+    return line_target(e_gt, cfg.mu_exp, cfg.kernel_size // 2)
+
+
+def backward(net: TinyNet, image, labels, cfg: TrainConfig, target: LineTarget | None = None):
+    """Loss terms and the flat parameter gradient of the combined objective.
+
+    target is ground_truth(labels, ...); it is built here when not given.
+    """
     probs, cache = net.forward_with_cache(image)
     loss_cfg = cfg.loss_config()
     ce = cross_entropy_loss(probs, labels)
     terms = {"ce": ce.value, "point": 0.0, "line": 0.0}
     dprobs = ce.gradient.copy()
     if cfg.lambda1 > 0 or cfg.lambda2 > 0:
-        e_gt = _convert(one_hot(labels, net.num_classes), cfg)
-        e_pred = _convert(probs, cfg)
+        if target is None:
+            target = ground_truth(labels, net.num_classes, cfg)
+        e_pred = convert(probs, cfg)
         e_grad = np.zeros_like(e_pred)
         if cfg.lambda1 > 0:
-            pt = point_loss(e_gt, e_pred, loss_cfg)
+            pt = point_loss(target.energies, e_pred, loss_cfg)
             terms["point"] = pt.value
             e_grad += cfg.lambda1 * pt.gradient
         if cfg.lambda2 > 0:
-            ln = equipotential_line_loss(e_gt, e_pred, loss_cfg, cfg.kernel_size // 2)
+            # Keep these four arguments positional: perfbench/tracer.py unpacks them.
+            ln = equipotential_line_loss(target, e_pred, loss_cfg, cfg.kernel_size // 2)
             terms["line"] = ln.value
             e_grad += cfg.lambda2 * ln.gradient
         dprobs += _convert_adjoint(e_grad, cfg)
@@ -300,6 +324,8 @@ def train(dataset, cfg: TrainConfig, num_classes: int | None = None, eval_datase
     net = TinyNet(1, num_classes, seed=cfg.seed)
     velocity = np.zeros_like(net.theta)
     eval_samples = samples if eval_dataset is None else list(eval_dataset)
+    potential = cfg.lambda1 > 0 or cfg.lambda2 > 0
+    targets = [ground_truth(s.labels, num_classes, cfg) if potential else None for s in samples]
     history = []
     for epoch in range(cfg.epochs):
         order = seeding.stream(cfg.seed, seeding.STREAM_TRAIN_SHUFFLE, epoch).permutation(len(samples))
@@ -311,7 +337,7 @@ def train(dataset, cfg: TrainConfig, num_classes: int | None = None, eval_datase
             for idx in batch:
                 s = samples[idx]
                 try:
-                    terms, g = backward(net, s.image, s.labels, cfg)
+                    terms, g = backward(net, s.image, s.labels, cfg, targets[idx])
                 except TrainingDiverged as exc:
                     raise TrainingDiverged(
                         f"epoch {epoch}, sample {int(idx)}: {exc}"

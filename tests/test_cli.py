@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
-from epl import io
+from epl import datagen, io, model
 from epl.cli import main
+from epl.fields import one_hot, standard_convolve
+from epl.losses import LossConfig, equipotential_line_loss, point_loss
 from epl.config import ConfigError, DEFAULTS, load_config
 
 TINY = {
@@ -154,6 +156,35 @@ class TestTrainLossEval:
         }
         assert all(set(r) == {"loss_name", "value", "config", "seed"} for r in records)
         assert all(np.isfinite(r["value"]) for r in records)
+
+    def test_loss_uses_the_checkpoint_config(self, tmp_path, tiny_config):
+        # Trained with kernel 5 and the box filter; `epl loss` runs with the
+        # defaults (kernel 7, directional conversion) and must still score
+        # the checkpoint under its own setup.
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        out = tmp_path / "run_sc"
+        assert run("train", "--config", tiny_config, "--data", data, "--out", out,
+                   "--ablate", "sc", "--mu-exp", "2") == 0
+        report = tmp_path / "losses.json"
+        assert run("loss", "--data", data, "--checkpoint", out / "checkpoint",
+                   "--out", report) == 0
+        records = {r["loss_name"]: r for r in json.loads(report.read_text())}
+        used = records["line"]["config"]
+        assert (used["converter"], used["kernel_size"], used["mu_exp"]) == ("sc", 5, 2)
+
+        net, _ = model.load_checkpoint(out / "checkpoint")
+        samples, _ = datagen.read_dataset(data)
+        cfg = LossConfig(mu_exp=2)
+        point = line = 0.0
+        for s in samples:
+            probs = net.forward(s.image)
+            e_gt = standard_convolve(one_hot(s.labels, 3), 5)[None]
+            e_pred = standard_convolve(probs, 5)[None]
+            point += point_loss(e_gt, e_pred, cfg).value
+            line += equipotential_line_loss(e_gt, e_pred, cfg, 2).value
+        assert records["point"]["value"] == pytest.approx(point / len(samples), rel=1e-12)
+        assert records["line"]["value"] == pytest.approx(line / len(samples), rel=1e-12)
 
     def test_sc_ablation_flag(self, tmp_path, tiny_config):
         data = tmp_path / "data"

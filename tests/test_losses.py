@@ -6,16 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epl.fields import ACConfig, anisotropic_convolve, make_splitter, one_hot
+from epl.fields import ACConfig, anisotropic_convolve, make_splitter, one_hot, standard_convolve
 from epl.losses import (
+    EMPTY_LEVEL_EPS,
+    LineTarget,
     LossConfig,
     LossValue,
+    _int_pow,
     build_line_regions,
     combine_losses,
     cross_entropy_loss,
     dice_loss,
     equipotential_dice,
     equipotential_line_loss,
+    line_target,
     point_loss,
 )
 
@@ -228,6 +232,160 @@ class TestLineLoss:
         edc = equipotential_dice(gt, pred, cfg, radius)
         finite = edc[~np.isnan(edc)]
         assert (finite >= 0.0).all() and (finite <= 1.0 + 1e-9).all()
+
+
+def reference_line_loss(gt, pred, mu, radius):
+    """One (direction, class, level) plane at a time: (value, gradient, EDC).
+
+    This is the per-term loop the blocked line loss replaced, kept as the
+    reference it must match bit for bit.
+    """
+    gt = np.asarray(gt, dtype=np.float64)
+    pred = np.asarray(pred, dtype=np.float64)
+    n_dirs, n_classes = gt.shape[:2]
+    total = 0.0
+    grad = np.zeros_like(pred)
+    edc_out = np.full((n_dirs, n_classes, radius), np.nan)
+    for si in range(n_dirs):
+        for ci in range(n_classes):
+            g = gt[si, ci]
+            p = pred[si, ci]
+            for tau in range(1, radius + 1):
+                if not (g == tau).any():
+                    continue
+                d = np.exp(-_int_pow(g - tau, mu))
+                mass = d.sum()
+                if mass < EMPTY_LEVEL_EPS:
+                    continue
+                c_norm = mass / (d * d).sum()
+                dp = p - tau
+                dp_pow = _int_pow(dp, mu - 1)
+                d_hat = np.exp(-(dp_pow * dp))
+                inter = (d * d_hat).sum()
+                denom = mass + d_hat.sum()
+                edc = 2.0 * c_norm * inter / denom
+                edc_out[si, ci, tau - 1] = min(edc, 1.0)
+                if edc >= 1.0:
+                    continue
+                total += 1.0 - edc
+                coeff = 2.0 * c_norm / (denom * denom)
+                grad[si, ci] += coeff * (d * denom - inter) * mu * dp_pow * d_hat
+    scale = 1.0 / n_dirs
+    return total * scale, grad * scale, edc_out
+
+
+def _ac_case(kind, kernel, shape, seed, classes=3):
+    rng = np.random.default_rng(seed)
+    cfg = ACConfig(kernel, make_splitter(kind))
+    labels = rng.integers(0, classes, shape)
+    probs = rng.dirichlet(np.ones(classes), shape).transpose(2, 0, 1)
+    return (anisotropic_convolve(one_hot(labels, classes), cfg),
+            anisotropic_convolve(probs, cfg), cfg.radius)
+
+
+def _sc_case(kernel, shape, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.zeros(shape, dtype=int)
+    labels[2:, shape[1] // 2:] = 1
+    labels[: shape[0] // 2, :3] = 2
+    probs = rng.dirichlet(np.ones(3), shape).transpose(2, 0, 1)
+    return (standard_convolve(one_hot(labels, 3), kernel)[None],
+            standard_convolve(probs, kernel)[None], kernel // 2)
+
+
+def _absent_case():
+    """A third class that never occurs: its planes have no line at any level."""
+    gt, pred, radius = _ac_case("A", 7, (12, 12), 3, classes=2)
+    return (np.concatenate([gt, np.zeros_like(gt[:, :1])], axis=1),
+            np.concatenate([pred, np.ones_like(pred[:, :1])], axis=1), radius)
+
+
+LINE_CASES = {
+    **{f"ac-{kind}-k{k}": (lambda kind=kind, k=k: _ac_case(kind, k, (18, 18), k))
+       for kind in "AC" for k in (3, 7, 9)},
+    "ac-non-square": lambda: _ac_case("A", 5, (7, 23), 1),
+    # 64x64 planes fill a whole block; more planes than one block holds.
+    "ac-blocks": lambda: _ac_case("C", 7, (64, 64), 2),
+    # Box-filter energies reach kernel**2, far above radius + 1.
+    **{f"sc-k{k}": (lambda k=k: _sc_case(k, (24, 20), k)) for k in (3, 7, 9)},
+    "absent-class": lambda: _absent_case(),
+    "negative": lambda: (
+        np.random.default_rng(4).integers(-3, 5, (2, 3, 6, 9)).astype(float),
+        np.random.default_rng(5).normal(1.0, 2.0, (2, 3, 6, 9)),
+        3,
+    ),
+}
+
+
+
+
+class TestLineLossReference:
+    """The blocked line loss is bit-identical to the per-term loop."""
+
+    def _assert_matches(self, gt, pred, mu, radius):
+        cfg = LossConfig(mu_exp=mu)
+        value, grad, edc = reference_line_loss(gt, pred, mu, radius)
+        target = line_target(gt, mu, radius)
+        for first in (gt, target):
+            loss = equipotential_line_loss(first, pred, cfg, radius)
+            assert type(loss.value) is float
+            assert loss.value == value
+            npt.assert_array_equal(loss.gradient, grad)
+            npt.assert_array_equal(equipotential_dice(first, pred, cfg, radius), edc)
+
+    @pytest.mark.parametrize("mu", [2, 10])
+    @pytest.mark.parametrize("name", sorted(LINE_CASES))
+    def test_matches_reference(self, name, mu):
+        gt, pred, radius = LINE_CASES[name]()
+        self._assert_matches(gt, pred, mu, radius)
+
+    @pytest.mark.parametrize("mu", [2, 10])
+    def test_capped_terms(self, mu):
+        gt, pred, radius = _ac_case("A", 7, (16, 16), 6)
+        self._assert_matches(gt, gt, mu, radius)  # every term capped
+        mixed = pred.copy()
+        mixed[1] = gt[1]
+        mixed[0, 2] = gt[0, 2]
+        self._assert_matches(gt, mixed, mu, radius)
+
+
+class TestLineTarget:
+    def test_compact_ground_truth(self):
+        gt, _, radius = _sc_case(9, (24, 20), 0)
+        assert gt.max() == 81
+        target = line_target(gt, 10, radius)
+        assert isinstance(target, LineTarget)
+        assert target.energies.dtype == np.uint8
+        npt.assert_array_equal(target.energies, gt)
+        assert target.present.shape == target.mass.shape == target.sq_mass.shape == (4, 3)
+
+    def test_negative_energies_use_a_signed_type(self):
+        gt = np.array([-2, 0, 1, 300], dtype=float).reshape(1, 1, 2, 2)
+        target = line_target(gt, 2, 1)
+        assert target.energies.dtype == np.int16
+        npt.assert_array_equal(target.energies, gt)
+
+    def test_rejects_bad_ground_truth(self):
+        with pytest.raises(ValueError):
+            line_target(np.full((1, 1, 2, 2), 0.5), 2, 1)
+        with pytest.raises(ValueError):
+            line_target(np.full((1, 1, 2, 2), np.inf), 2, 1)
+        with pytest.raises(ValueError):
+            line_target(np.zeros((1, 2, 2)), 2, 1)
+        with pytest.raises(ValueError):
+            line_target(np.array([0.0, 1e9]).reshape(1, 1, 1, 2), 2, 1)
+        with pytest.raises(ValueError):
+            line_target(np.zeros((1, 1, 2, 2)), 3, 1)
+
+    def test_target_must_match_the_call(self):
+        gt, pred, radius = _ac_case("A", 5, (8, 8), 0)
+        target = line_target(gt, 10, radius)
+        with pytest.raises(ValueError):
+            equipotential_line_loss(target, pred, LossConfig(mu_exp=2), radius)
+        with pytest.raises(ValueError):
+            equipotential_line_loss(target, pred, LossConfig(), radius + 1)
+        with pytest.raises(ValueError):
+            equipotential_dice(target, pred[:, :, :4], LossConfig(), radius)
 
 
 class TestCrossEntropy:

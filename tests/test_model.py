@@ -135,6 +135,24 @@ class TestTrain:
             "miou", "trimap_iou", "fmeasure",
         }
 
+    def test_history_values_are_plain_python_numbers(self):
+        samples = [tiny_sample(seed=i) for i in range(2)]
+        _, history = model.train(samples, small_cfg(lambda1=0.1, lambda2=0.01))
+        for record in history:
+            assert type(record.pop("epoch")) is int
+            assert all(type(v) is float for v in record.values()), record
+
+    def test_prebuilt_target_gives_the_same_step(self):
+        s = tiny_sample(seed=6)
+        net = TinyNet(1, 3, seed=2)
+        for converter in ("ac", "sc"):
+            cfg = small_cfg(converter=converter)
+            target = model.ground_truth(s.labels, 3, cfg)
+            terms, grad = model.backward(net, s.image, s.labels, cfg)
+            terms_t, grad_t = model.backward(net, s.image, s.labels, cfg, target)
+            assert terms == terms_t
+            npt.assert_array_equal(grad, grad_t)
+
     def test_eval_dataset_is_used_for_metrics(self):
         train_s = [tiny_sample(seed=3)]
         val_s = [tiny_sample(seed=9)]
