@@ -37,7 +37,7 @@ from .losses import (
     point_loss,
 )
 from .metrics import EvalReport, boundary_band, boundary_fmeasure, evaluate_pair, miou, trimap_iou
-from .model import TinyNet, TrainConfig, backward, forward, train
+from .model import TinyNet, TrainConfig, backward, train
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "equipotential_line_loss",
     "evaluate_pair",
     "finite_diff_gradient",
-    "forward",
     "generate_dataset",
     "generate_mixed_dataset",
     "line_target",

@@ -93,6 +93,19 @@ def shift2d(planes: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
+def _add_shifted(acc: np.ndarray, planes: np.ndarray, dy: int, dx: int) -> None:
+    """acc += shift2d(planes, dy, dx) in place, without the zero-filled copy.
+
+    Only the in-range slice is added.  The skipped terms were +0.0, which
+    changes a sum only by turning -0.0 into +0.0.
+    """
+    h, w = planes.shape[-2:]
+    y0, y1 = max(0, -dy), min(h, h - dy)
+    x0, x1 = max(0, -dx), min(w, w - dx)
+    if y0 < y1 and x0 < x1:
+        acc[..., y0:y1, x0:x1] += planes[..., y0 + dy:y1 + dy, x0 + dx:x1 + dx]
+
+
 def _as_field(field) -> np.ndarray:
     f = np.asarray(field, dtype=np.float64)
     if f.ndim != 3:
@@ -127,10 +140,9 @@ def anisotropic_convolve(field, cfg: ACConfig) -> np.ndarray:
     dirs = cfg.splitter.directions
     out = np.empty((len(dirs),) + f.shape, dtype=np.float64)
     for si, (dy, dx) in enumerate(dirs):
-        acc = f.copy()
+        out[si] = f
         for t in range(1, r + 1):
-            acc += shift2d(f, t * dy, t * dx)
-        out[si] = acc
+            _add_shifted(out[si], f, t * dy, t * dx)
     return out
 
 
@@ -149,7 +161,7 @@ def ac_adjoint(energy_grad, cfg: ACConfig) -> np.ndarray:
     out = np.zeros(g.shape[1:], dtype=np.float64)
     for si, (dy, dx) in enumerate(dirs):
         for t in range(cfg.radius + 1):
-            out += shift2d(g[si], -t * dy, -t * dx)
+            _add_shifted(out, g[si], -t * dy, -t * dx)
     return out
 
 
@@ -165,12 +177,12 @@ def standard_convolve(field, kernel_size: int) -> np.ndarray:
     r = kernel_size // 2
     rows = f.copy()
     for t in range(1, r + 1):
-        rows += shift2d(f, t, 0)
-        rows += shift2d(f, -t, 0)
+        _add_shifted(rows, f, t, 0)
+        _add_shifted(rows, f, -t, 0)
     out = rows.copy()
     for t in range(1, r + 1):
-        out += shift2d(rows, 0, t)
-        out += shift2d(rows, 0, -t)
+        _add_shifted(out, rows, 0, t)
+        _add_shifted(out, rows, 0, -t)
     return out
 
 

@@ -250,3 +250,17 @@ class TestErrorPaths:
         assert run("convert", "--labels", tmp_path / "none.pgm",
                    "--out", tmp_path / "o.eplt") == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [("architecture", "conv5x5-softmax"), ("hidden", 16)])
+    def test_loss_rejects_a_checkpoint_of_another_net(self, tmp_path, tiny_config, capsys,
+                                                      field, value):
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0))
+        sidecar = json.loads((tmp_path / "ck.json").read_text())
+        sidecar[field] = value
+        (tmp_path / "ck.json").write_text(json.dumps(sidecar))
+        assert run("loss", "--data", data, "--checkpoint", tmp_path / "ck",
+                   "--out", tmp_path / "losses.json") == 2
+        assert f"checkpoint {field} is {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "losses.json").exists()

@@ -246,3 +246,50 @@ class TestShift2d:
     def test_shift_out_of_frame(self):
         a = np.ones((3, 3))
         assert not shift2d(a, 5, 0).any()
+
+
+class TestShiftedCopyReference:
+    """The in-place slice adds are bit-identical to adding zero-filled shift2d copies."""
+
+    @staticmethod
+    def reference_convolve(f, c):
+        out = np.empty((len(c.splitter),) + f.shape)
+        for si, (dy, dx) in enumerate(c.splitter.directions):
+            acc = f.copy()
+            for t in range(1, c.radius + 1):
+                acc += shift2d(f, t * dy, t * dx)
+            out[si] = acc
+        return out
+
+    @staticmethod
+    def reference_adjoint(g, c):
+        out = np.zeros(g.shape[1:])
+        for si, (dy, dx) in enumerate(c.splitter.directions):
+            for t in range(c.radius + 1):
+                out += shift2d(g[si], -t * dy, -t * dx)
+        return out
+
+    @staticmethod
+    def reference_box(f, w):
+        rows = f.copy()
+        for t in range(1, w // 2 + 1):
+            rows += shift2d(f, t, 0)
+            rows += shift2d(f, -t, 0)
+        out = rows.copy()
+        for t in range(1, w // 2 + 1):
+            out += shift2d(rows, 0, t)
+            out += shift2d(rows, 0, -t)
+        return out
+
+    @pytest.mark.parametrize("shape", [(3, 10, 10), (2, 12, 9), (1, 3, 2), (3, 64, 64)])
+    @pytest.mark.parametrize("w", [3, 7, 9])
+    def test_conversion_adjoint_and_box(self, shape, w):
+        rng = np.random.default_rng(w)
+        f = rng.random(shape)
+        for kind in "ABC":
+            c = cfg(w, kind)
+            e = anisotropic_convolve(f, c)
+            npt.assert_array_equal(e, self.reference_convolve(f, c))
+            g = rng.normal(size=e.shape)
+            npt.assert_array_equal(ac_adjoint(g, c), self.reference_adjoint(g, c))
+        npt.assert_array_equal(standard_convolve(f, w), self.reference_box(f, w))

@@ -1,8 +1,12 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from epl import datagen, model
+from epl.fields import shift2d
+from epl.io import FormatError
 from epl.losses import cross_entropy_loss
 from epl.model import TinyNet, TrainConfig, TrainingDiverged
 
@@ -63,6 +67,82 @@ class TestForward:
         assert TinyNet(1, 3, seed=3).parameter_count == net.parameter_count
 
 
+def reference_forward_backward(net, image, dprobs):
+    """The conv path before the workspace: shifted copies stacked by np.stack,
+    and a col2im that adds shifted-back copies onto a zeroed dx."""
+    offsets = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+
+    def gather(x):
+        return np.stack([shift2d(x, dy, dx) for dy, dx in offsets], axis=1)
+
+    def conv(cols, w, b):
+        out = w.reshape(w.shape[0], -1) @ cols.reshape(-1, h * wd)
+        return out.reshape(w.shape[0], h, wd) + b[:, None, None]
+
+    def conv_backward(g, cols, w):
+        gm = g.reshape(g.shape[0], h * wd)
+        dw = (gm @ cols.reshape(-1, h * wd).T).reshape(w.shape)
+        dcols = (w.reshape(w.shape[0], -1).T @ gm).reshape(cols.shape)
+        dx = np.zeros((cols.shape[0], h, wd))
+        for ui, (dy, dx_off) in enumerate(offsets):
+            dx += shift2d(dcols[:, ui], -dy, -dx_off)
+        return dx, dw, gm.sum(axis=1)
+
+    p = net.param
+    x = np.asarray(image, dtype=np.float64)[None]
+    h, wd = x.shape[-2:]
+    cols1 = gather(x)
+    z1 = conv(cols1, p("w1"), p("b1"))
+    cols2 = gather(np.maximum(z1, 0.0))
+    z2 = conv(cols2, p("w2"), p("b2"))
+    a2 = np.maximum(z2, 0.0)
+    logits = (p("w3") @ a2.reshape(8, h * wd)).reshape(-1, h, wd) + p("b3")[:, None, None]
+    ez = np.exp(logits - logits.max(axis=0, keepdims=True))
+    probs = ez / ez.sum(axis=0, keepdims=True)
+    cache = {"cols1": cols1, "z1": z1, "cols2": cols2, "z2": z2, "a2": a2, "probs": probs}
+
+    dz3 = probs * (dprobs - (dprobs * probs).sum(axis=0, keepdims=True))
+    dw3 = dz3.reshape(-1, h * wd) @ a2.reshape(8, h * wd).T
+    da2 = (p("w3").T @ dz3.reshape(-1, h * wd)).reshape(8, h, wd)
+    da1, dw2, db2 = conv_backward(da2 * (z2 > 0), cols2, p("w2"))
+    _, dw1, db1 = conv_backward(da1 * (z1 > 0), cols1, p("w1"))
+    grad = np.concatenate([a.reshape(-1) for a in (dw1, db1, dw2, db2, dw3, dz3.sum(axis=(1, 2)))])
+    return probs, cache, grad
+
+
+class TestConvReference:
+    """The workspace conv path is float64 bit-identical to shift-and-stack."""
+
+    def test_matches_the_shift_and_stack_path(self):
+        rng = np.random.default_rng(11)
+        net = TinyNet(1, 3, seed=4)
+        # alternating shapes on one net: the workspace is rebuilt each time
+        for shape in ((10, 10), (12, 9), (64, 64), (12, 9), (10, 10)):
+            image = rng.normal(size=shape)
+            dprobs = rng.normal(size=(3,) + shape)
+            probs, cache = net.forward_with_cache(image)
+            ref_probs, ref_cache, ref_grad = reference_forward_backward(net, image, dprobs)
+            npt.assert_array_equal(probs, ref_probs)
+            assert cache.keys() == ref_cache.keys()
+            for key in cache:
+                npt.assert_array_equal(cache[key], ref_cache[key], err_msg=key)
+            npt.assert_array_equal(net.backward_from_probs(cache, dprobs), ref_grad)
+
+    def test_buffers_are_reused_and_outputs_are_fresh(self):
+        rng = np.random.default_rng(12)
+        net = TinyNet(1, 3, seed=5)
+        first_image, second_image = rng.normal(size=(2, 12, 9))
+        first, cache_a = net.forward_with_cache(first_image)
+        kept = first.copy()
+        second, cache_b = net.forward_with_cache(second_image)
+        for key in ("cols1", "cols2"):
+            assert np.shares_memory(cache_a[key], cache_b[key])
+        assert not np.shares_memory(first, second)
+        npt.assert_array_equal(first, kept)
+        npt.assert_array_equal(second, reference_forward_backward(
+            net, second_image, np.zeros_like(second))[0])
+
+
 class TestBackward:
     def test_zero_weights_reduce_to_cross_entropy_gradient(self):
         s = tiny_sample()
@@ -99,8 +179,21 @@ class TestBackward:
         s = tiny_sample()
         net = TinyNet(1, 3, seed=0)
         net.theta[:] = 1e308  # overflow is the point here
-        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged):
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as info:
             model.backward(net, s.image, s.labels, small_cfg())
+        assert "non-finite loss term(s) ce, point, line:" in str(info.value)
+
+    def test_divergence_names_only_the_bad_term(self, monkeypatch):
+        s = tiny_sample()
+        real = model.equipotential_line_loss
+
+        def inf_line(*args):
+            out = real(*args)
+            return type(out)(np.inf, out.gradient)
+
+        monkeypatch.setattr(model, "equipotential_line_loss", inf_line)
+        with pytest.raises(TrainingDiverged, match=r"term\(s\) line: "):
+            model.backward(TinyNet(1, 3, seed=0), s.image, s.labels, small_cfg())
 
 
 class TestTrain:
@@ -176,7 +269,14 @@ class TestCheckpoint:
         model.save_checkpoint(tmp_path / "ck", net)
         sidecar = (tmp_path / "ck.json").read_text().replace('"num_classes": 3', '"num_classes": 4')
         (tmp_path / "ck.json").write_text(sidecar)
-        from epl.io import FormatError
-
         with pytest.raises(FormatError):
+            model.load_checkpoint(tmp_path / "ck")
+
+    @pytest.mark.parametrize("field,value", [("architecture", "conv5x5-softmax"), ("hidden", 16)])
+    def test_other_architecture_rejected(self, tmp_path, field, value):
+        model.save_checkpoint(tmp_path / "ck", TinyNet(1, 3, seed=0))
+        sidecar = json.loads((tmp_path / "ck.json").read_text())
+        sidecar[field] = value
+        (tmp_path / "ck.json").write_text(json.dumps(sidecar))
+        with pytest.raises(FormatError, match=f"checkpoint {field} is"):
             model.load_checkpoint(tmp_path / "ck")
