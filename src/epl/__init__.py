@@ -28,7 +28,6 @@ from .losses import (
     LossConfig,
     LossValue,
     build_line_regions,
-    combine_losses,
     cross_entropy_loss,
     dice_loss,
     equipotential_dice,
@@ -37,7 +36,7 @@ from .losses import (
     point_loss,
 )
 from .metrics import EvalReport, boundary_band, boundary_fmeasure, evaluate_pair, miou, trimap_iou
-from .model import TinyNet, TrainConfig, backward, train
+from .model import TinyNet, TrainConfig, backward, objective, train
 
 __version__ = "0.1.0"
 
@@ -60,7 +59,6 @@ __all__ = [
     "boundary_band",
     "boundary_fmeasure",
     "build_line_regions",
-    "combine_losses",
     "cross_entropy_loss",
     "dice_loss",
     "equipotential_dice",
@@ -72,6 +70,7 @@ __all__ = [
     "line_target",
     "make_splitter",
     "miou",
+    "objective",
     "one_hot",
     "point_loss",
     "potential_oracle",

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -21,13 +22,7 @@ from . import config as config_mod
 from . import datagen, gradcheck, io, metrics, model
 from .config import ConfigError
 from .fields import anisotropic_convolve, one_hot
-from .losses import (
-    combine_losses,
-    cross_entropy_loss,
-    dice_loss,
-    equipotential_line_loss,
-    point_loss,
-)
+from .losses import dice_loss
 
 
 def _write_json(path, payload) -> None:
@@ -95,7 +90,7 @@ def cmd_convert(args) -> int:
     cfg = config_mod.load_config(args.config, overrides)
     labels = io.read_pgm(args.labels)
     num_classes = args.classes if args.classes is not None else int(labels.max()) + 1
-    ac_cfg = config_mod.build_ac_config(cfg)
+    ac_cfg = config_mod.build_train_config(cfg).ac
     energies = anisotropic_convolve(one_hot(labels, num_classes), ac_cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -148,7 +143,8 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_history(out, history)
-    model.save_checkpoint(out / "checkpoint", net, model.train_config_to_json(train_cfg))
+    model.save_checkpoint(out / "checkpoint", net,
+                          {"converter": train_cfg.converter, **config_mod.train_sections(train_cfg)})
     _echo_config(out, "train", cfg, {
         "data": str(args.data),
         "epl": args.epl,
@@ -175,37 +171,36 @@ def _write_history(out_dir: Path, history: list[dict]) -> None:
 
 def _checkpoint_train_config(stem, sidecar: dict) -> model.TrainConfig:
     """The training config recorded in a checkpoint's sidecar."""
+    recorded = sidecar.get("config", {})
     try:
-        return model.TrainConfig(**sidecar.get("config", {}))
-    except TypeError as exc:
-        raise io.FormatError(f"{stem}: sidecar config is not a training config ({exc})") from None
+        return config_mod.build_train_config(recorded, converter=recorded["converter"])
+    except (KeyError, TypeError) as exc:
+        raise io.FormatError(
+            f"{stem}: sidecar config lacks {exc}: it must hold the converter and the seed, "
+            f"ac, loss and train sections; a checkpoint with a flat config must be retrained"
+        ) from None
 
 
 def cmd_loss(args) -> int:
     """Losses of a checkpoint under the converter, kernel, splitter, mu and weights it used."""
     cfg = config_mod.load_config(args.config, _flag_overrides(args, {"seed": ("seed",)}))
     samples, _ = datagen.read_dataset(args.data)
+    if not samples:
+        raise ValueError(f"{args.data}: the dataset has no samples")
     net, sidecar = model.load_checkpoint(args.checkpoint)
     train_cfg = _checkpoint_train_config(args.checkpoint, sidecar)
-    loss_cfg = train_cfg.loss_config()
     sums = {"cross_entropy": 0.0, "point": 0.0, "line": 0.0, "dice": 0.0, "combined": 0.0}
     for s in samples:
         probs = net.forward(s.image)
-        gt = one_hot(s.labels, net.num_classes)
-        target = model.ground_truth(s.labels, net.num_classes, train_cfg)
-        e_pred = model.convert(probs, train_cfg)
-        ce = cross_entropy_loss(probs, s.labels)
-        pt = point_loss(target.energies, e_pred, loss_cfg)
-        ln = equipotential_line_loss(target, e_pred, loss_cfg, train_cfg.kernel_size // 2)
-        sums["cross_entropy"] += ce.value
-        sums["point"] += pt.value
-        sums["line"] += ln.value
-        sums["dice"] += dice_loss(probs, gt).value
-        sums["combined"] += combine_losses(ce, pt, ln, loss_cfg).value
+        terms, _ = model.objective(probs, s.labels, train_cfg)
+        sums["cross_entropy"] += terms["ce"]
+        sums["point"] += terms["point"]
+        sums["line"] += terms["line"]
+        sums["dice"] += dice_loss(probs, one_hot(s.labels, net.num_classes)).value
+        sums["combined"] += terms["total"]
     n = len(samples)
-    used = {key: getattr(train_cfg, key) for key in (
-        "converter", "kernel_size", "splitter", "mu_exp", "lambda1", "lambda2", "norm", "reduction",
-    )}
+    used = {"converter": train_cfg.converter, "kernel_size": train_cfg.ac.kernel_size,
+            "splitter": train_cfg.ac.splitter.kind, **asdict(train_cfg.loss)}
     records = [
         {"loss_name": name, "value": total / n, "config": used, "seed": cfg["seed"]}
         for name, total in sums.items()
@@ -220,14 +215,10 @@ def cmd_loss(args) -> int:
 def cmd_gradcheck(args) -> int:
     cfg = config_mod.load_config(args.config, _flag_overrides(args, {"seed": ("seed",)}))
     kinds = gradcheck.LOSS_KINDS if args.loss == "all" else (args.loss,)
+    mu_exp = {} if args.mu_exp is None else {"mu_exp": args.mu_exp}
     reports = []
     for kind in kinds:
-        report = gradcheck.run_gradcheck(
-            kind,
-            samples=args.samples,
-            seed=cfg["seed"],
-            mu_exp=args.mu_exp if args.mu_exp is not None else 2,
-        )
+        report = gradcheck.run_gradcheck(kind, samples=args.samples, seed=cfg["seed"], **mu_exp)
         reports.append(report.to_json())
     payload = {"command": "gradcheck", "seed": cfg["seed"], "reports": reports}
     if args.out:
@@ -318,8 +309,7 @@ def cmd_ablate(args) -> int:
                     for v in ab["weights"]]
     rows = []
     for name, value, patch in variants:
-        variant_cfg = config_mod.load_config(None, _deep_merge_patch(cfg, patch))
-        train_cfg = config_mod.build_train_config(variant_cfg)
+        train_cfg = config_mod.build_train_config(config_mod.merge(cfg, patch))
         _net, history = model.train(train_set, train_cfg, eval_dataset=val_set or None)
         last = history[-1]
         if not all(np.isfinite(v) for k, v in last.items() if k.startswith("loss_")):
@@ -346,20 +336,6 @@ def cmd_ablate(args) -> int:
     _echo_config(out, "ablate", cfg, {"sweep": args.sweep, "rows": len(rows)})
     print(f"wrote {len(rows)} rows to {csv_path}")
     return 0
-
-
-def _deep_merge_patch(cfg: dict, patch: dict) -> dict:
-    """Overlay a nested patch onto a resolved config (returns override dict)."""
-    merged = json.loads(json.dumps(cfg))
-    stack = [(merged, patch)]
-    while stack:
-        dst, src = stack.pop()
-        for key, value in src.items():
-            if isinstance(value, dict) and isinstance(dst.get(key), dict):
-                stack.append((dst[key], value))
-            else:
-                dst[key] = value
-    return merged
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -2,14 +2,17 @@
 
 Sections: dataset (scene recipe), ac (conversion kernel), loss, train,
 eval, ablate.  Command-line flags override file values, and everything has
-a default, so a bare command is already a runnable experiment.  A single
-top-level seed feeds every component (see seeding.py for the streams).
+a default, so a bare command is already a runnable experiment.  The ac,
+loss and train defaults are those of ACConfig, LossConfig and TrainConfig,
+so there is one set of them.  A single top-level seed feeds every
+component (see seeding.py for the streams).
 """
 
 from __future__ import annotations
 
 import copy
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 from . import model
@@ -22,8 +25,21 @@ class ConfigError(ValueError):
     """Raised for unknown keys or invalid values in an experiment config."""
 
 
+def train_sections(cfg: model.TrainConfig) -> dict:
+    """The seed, ac, loss and train sections of a config that build_train_config reads back."""
+    return {
+        "seed": cfg.seed,
+        "ac": {"kernel_size": cfg.ac.kernel_size, "splitter": cfg.ac.splitter.kind},
+        "loss": asdict(cfg.loss),
+        "train": {key: getattr(cfg, key)
+                  for key in ("epochs", "batch_size", "learning_rate", "momentum")},
+    }
+
+
+_TRAIN_DEFAULTS = train_sections(model.TrainConfig())
+
 DEFAULTS: dict = {
-    "seed": 0,
+    "seed": _TRAIN_DEFAULTS["seed"],
     "dataset": {
         "kind": "mixed",  # mixed = adjacent_rects and touching_disks interleaved
         "height": 64,
@@ -34,15 +50,9 @@ DEFAULTS: dict = {
         "count": 200,
         "gap": 1,
     },
-    "ac": {"kernel_size": 7, "splitter": "A"},
-    "loss": {"norm": "l2", "reduction": "mean", "mu_exp": 10, "lambda1": 0.1, "lambda2": 0.01},
-    "train": {
-        "epochs": 5,
-        "batch_size": 8,
-        "learning_rate": 0.06,
-        "momentum": 0.9,
-        "val_fraction": 0.2,
-    },
+    "ac": _TRAIN_DEFAULTS["ac"],
+    "loss": _TRAIN_DEFAULTS["loss"],
+    "train": {**_TRAIN_DEFAULTS["train"], "val_fraction": 0.2},
     "eval": {"trimap_widths": [1, 3, 5, 10], "f_tolerances": [1, 3, 5, 10]},
     "ablate": {
         "mu_values": [2, 4, 10, 16, 20],
@@ -55,7 +65,8 @@ DEFAULTS: dict = {
 DATASET_KINDS = SCENE_KINDS + ("mixed",)
 
 
-def _merge(base: dict, override: dict, path: str = "") -> dict:
+def merge(base: dict, override: dict, path: str = "") -> dict:
+    """A copy of base with override laid over it; keys unknown to base are rejected."""
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
@@ -64,7 +75,7 @@ def _merge(base: dict, override: dict, path: str = "") -> dict:
         if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise ConfigError(f"{where!r} must be a section, got {type(value).__name__}")
-            out[key] = _merge(base[key], value, where)
+            out[key] = merge(base[key], value, where)
         else:
             out[key] = copy.deepcopy(value)
     return out
@@ -80,9 +91,9 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")
-        cfg = _merge(cfg, loaded)
+        cfg = merge(cfg, loaded)
     if overrides:
-        cfg = _merge(cfg, overrides)
+        cfg = merge(cfg, overrides)
     validate_config(cfg)
     return cfg
 
@@ -94,8 +105,6 @@ def validate_config(cfg: dict) -> None:
         raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {ds['kind']!r}")
     try:
         build_scene_spec(cfg, kind="adjacent_rects")  # representative validation
-        build_ac_config(cfg)
-        build_loss_config(cfg)
         build_train_config(cfg)
     except (ValueError, TypeError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -135,37 +144,27 @@ def build_scene_spec(cfg: dict, kind: str | None = None, seed: int | None = None
     )
 
 
-def build_ac_config(cfg: dict) -> ACConfig:
-    ac = cfg["ac"]
-    return ACConfig(kernel_size=int(ac["kernel_size"]), splitter=make_splitter(ac["splitter"]))
+def build_train_config(cfg: dict, epl: bool = True, converter: str = "ac") -> model.TrainConfig:
+    """The one reader of a training config: the seed, ac, loss and train sections.
 
-
-def build_loss_config(cfg: dict) -> LossConfig:
-    ls = cfg["loss"]
-    return LossConfig(
-        norm=str(ls["norm"]),
-        reduction=str(ls["reduction"]),
-        mu_exp=int(ls["mu_exp"]),
-        lambda1=float(ls["lambda1"]),
-        lambda2=float(ls["lambda2"]),
-    )
-
-
-def build_train_config(cfg: dict, seed: int | None = None, epl: bool = True,
-                       converter: str = "ac") -> model.TrainConfig:
-    ls, tr, ac = cfg["loss"], cfg["train"], cfg["ac"]
+    `epl train` and `epl ablate` pass the resolved experiment config, `epl
+    loss` the config a checkpoint recorded (train_sections plus the
+    converter).  epl=False zeroes both potential-loss weights.
+    """
+    ac, ls, tr = cfg["ac"], cfg["loss"], cfg["train"]
     return model.TrainConfig(
         epochs=int(tr["epochs"]),
         batch_size=int(tr["batch_size"]),
         learning_rate=float(tr["learning_rate"]),
         momentum=float(tr["momentum"]),
-        seed=int(seed if seed is not None else cfg["seed"]),
-        lambda1=float(ls["lambda1"]) if epl else 0.0,
-        lambda2=float(ls["lambda2"]) if epl else 0.0,
-        kernel_size=int(ac["kernel_size"]),
-        splitter=str(ac["splitter"]),
-        mu_exp=int(ls["mu_exp"]),
-        norm=str(ls["norm"]),
-        reduction=str(ls["reduction"]),
+        seed=int(cfg["seed"]),
+        loss=LossConfig(
+            norm=str(ls["norm"]),
+            reduction=str(ls["reduction"]),
+            mu_exp=int(ls["mu_exp"]),
+            lambda1=float(ls["lambda1"]) if epl else 0.0,
+            lambda2=float(ls["lambda2"]) if epl else 0.0,
+        ),
+        ac=ACConfig(kernel_size=int(ac["kernel_size"]), splitter=make_splitter(ac["splitter"])),
         converter=converter,
     )

@@ -285,7 +285,10 @@ def write_dataset(out_dir, samples: list[Sample], spec: SceneSpec, extra: dict |
 
 def read_dataset(in_dir) -> tuple[list[Sample], dict]:
     """Load a dataset directory written by write_dataset."""
-    root = Path(in_dir)
-    manifest = json.loads((root / "manifest.json").read_text(encoding="utf-8"))
-    samples = [read_sample(root / stem) for stem in manifest["samples"]]
+    path = Path(in_dir) / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    stems = manifest.get("samples") if isinstance(manifest, dict) else None
+    if not isinstance(stems, list):
+        raise io.FormatError(f"{path}: the manifest has no 'samples' list")
+    samples = [read_sample(path.parent / stem) for stem in stems]
     return samples, manifest

@@ -52,8 +52,8 @@ def make_splitter(kind: str) -> Splitter:
 class ACConfig:
     """Anisotropic-convolution settings: an odd box size and a splitter."""
 
-    kernel_size: int
-    splitter: Splitter
+    kernel_size: int = 7
+    splitter: Splitter = make_splitter("A")
 
     def __post_init__(self) -> None:
         w = self.kernel_size

@@ -12,8 +12,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import seeding
-from .fields import ACConfig, ac_adjoint, anisotropic_convolve, make_splitter, one_hot
+from . import model, seeding
+from .fields import ACConfig, anisotropic_convolve, make_splitter, one_hot
 from .losses import (
     LossConfig,
     cross_entropy_loss,
@@ -121,27 +121,19 @@ def _scenario(loss_kind: str, dims, rng, mu_exp: int):
         )
 
     if loss_kind == "composite":
-        cfg = LossConfig(mu_exp=mu_exp)
+        # The training objective itself: CE + lambda1 * point + lambda2 * line
+        # with the potential gradients chained back through the adjoint.
+        cfg = model.TrainConfig(loss=LossConfig(mu_exp=mu_exp), ac=ac_cfg)
         labels = rng.integers(0, k, (h, w))
-        e_gt = anisotropic_convolve(one_hot(labels, k), ac_cfg)
+        target = model.ground_truth(labels, k, cfg)
         raw = rng.uniform(0.05, 1.0, (k, h, w))
         pred0 = raw / raw.sum(axis=0)
-
-        def total(x):
-            e_pred = anisotropic_convolve(x, ac_cfg)
-            return (
-                cross_entropy_loss(x, labels).value
-                + cfg.lambda1 * point_loss(e_gt, e_pred, cfg).value
-                + cfg.lambda2 * equipotential_line_loss(e_gt, e_pred, cfg, radius).value
-            )
-
-        e_pred0 = anisotropic_convolve(pred0, ac_cfg)
-        e_grad = (
-            cfg.lambda1 * point_loss(e_gt, e_pred0, cfg).gradient
-            + cfg.lambda2 * equipotential_line_loss(e_gt, e_pred0, cfg, radius).gradient
+        return (
+            pred0,
+            lambda x: model.objective(x, labels, cfg, target)[0]["total"],
+            model.objective(pred0, labels, cfg, target)[1],
+            None,
         )
-        analytic = cross_entropy_loss(pred0, labels).gradient + ac_adjoint(e_grad, ac_cfg)
-        return pred0, total, analytic, None
 
     raise ValueError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
 

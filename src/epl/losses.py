@@ -6,8 +6,8 @@ averaging over directions.  The line loss scores contour agreement: for each
 ``exp(-(energy - level)**mu)`` of both energy planes and compares them with a
 normalized dice-style coefficient (EDC) that equals 1 exactly when the
 prediction matches the ground truth.  Cross-entropy and plain dice operate in
-the probability domain as baselines, and ``combine_losses`` forms the
-weighted training total.
+the probability domain as baselines.  The weighted training total and its
+gradient are formed in one place, ``model.objective``.
 
 The membership activation is evaluated over the whole plane, which keeps the
 line loss differentiable everywhere; the sorted equal-count line regions are
@@ -71,7 +71,7 @@ class LossConfig:
 
     mu_exp is the even exponent of the line-loss activation (odd exponents
     would break its symmetry around the level and are rejected).  lambda1
-    and lambda2 weight the point and line terms in the combined loss.
+    and lambda2 weight the point and line terms in the training objective.
     """
 
     norm: str = "l2"
@@ -428,17 +428,3 @@ def dice_loss(pred, gt) -> LossValue:
         return LossValue(0.0, grad)
     return LossValue(1.0 - coeff_sum / used, grad / used)
 
-
-def combine_losses(ce: LossValue, point: LossValue, line: LossValue, cfg: LossConfig) -> LossValue:
-    """Weighted training total: ce + lambda1 * point + lambda2 * line.
-
-    Gradients combine linearly when all three are present w.r.t. the same
-    tensor; otherwise the combined gradient is None.
-    """
-    value = ce.value + cfg.lambda1 * point.value + cfg.lambda2 * line.value
-    grads = (ce.gradient, point.gradient, line.gradient)
-    if all(g is not None for g in grads) and len({g.shape for g in grads}) == 1:
-        gradient = ce.gradient + cfg.lambda1 * point.gradient + cfg.lambda2 * line.gradient
-    else:
-        gradient = None
-    return LossValue(value, gradient)

@@ -3,11 +3,12 @@
 The network is fixed: 3x3 conv (input -> 8) + ReLU, 3x3 conv (8 -> 8) +
 ReLU, 1x1 conv (8 -> classes), per-pixel softmax, all with zero padding.
 Parameters live in one flat float64 vector.  Training is plain SGD with
-momentum on the combined loss: cross-entropy plus weighted point and line
-terms evaluated after converting both the one-hot ground truth and the
-prediction to the potential domain.  The potential losses touch only the
-training objective; the forward path never sees them, so inference cost and
-parameter count are identical with the extra terms on or off.
+momentum on one objective (see objective): cross-entropy plus weighted
+point and line terms evaluated after converting both the one-hot ground
+truth and the prediction to the potential domain.  The potential losses
+touch only the training objective; the forward path never sees them, so
+inference cost and parameter count are identical with the extra terms on
+or off.
 
 Each net keeps a workspace for the last input shape it saw: every
 intermediate of the conv layers (padded inputs, im2col matrices, conv
@@ -24,7 +25,7 @@ page-faults in) none of them.  Hence:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,6 @@ from .fields import (
     ACConfig,
     ac_adjoint,
     anisotropic_convolve,
-    make_splitter,
     one_hot,
     standard_convolve,
 )
@@ -64,18 +64,15 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 20
+    """One training run: optimizer settings, the loss and conversion settings, the converter."""
+
+    epochs: int = 5
     batch_size: int = 8
-    learning_rate: float = 0.05
+    learning_rate: float = 0.06
     momentum: float = 0.9
     seed: int = 0
-    lambda1: float = 0.1
-    lambda2: float = 0.01
-    kernel_size: int = 7
-    splitter: str = "A"
-    mu_exp: int = 10
-    norm: str = "l2"
-    reduction: str = "mean"
+    loss: LossConfig = LossConfig()
+    ac: ACConfig = ACConfig()
     converter: str = "ac"
 
     def __post_init__(self) -> None:
@@ -87,21 +84,6 @@ class TrainConfig:
             raise ValueError("momentum must lie in [0, 1)")
         if self.converter not in CONVERTERS:
             raise ValueError(f"converter must be one of {CONVERTERS}, got {self.converter!r}")
-        # Delegate the loss-side checks (even mu, nonnegative weights, ...).
-        self.loss_config()
-        self.ac_config()
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(
-            norm=self.norm,
-            reduction=self.reduction,
-            mu_exp=self.mu_exp,
-            lambda1=self.lambda1,
-            lambda2=self.lambda2,
-        )
-
-    def ac_config(self) -> ACConfig:
-        return ACConfig(kernel_size=self.kernel_size, splitter=make_splitter(self.splitter))
 
 
 class _Workspace:
@@ -302,15 +284,15 @@ class TinyNet:
 def convert(field: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     """Potential energies (|S|, K, H, W) of a (K, H, W) field under cfg's converter."""
     if cfg.converter == "sc":
-        return standard_convolve(field, cfg.kernel_size)[None]
-    return anisotropic_convolve(field, cfg.ac_config())
+        return standard_convolve(field, cfg.ac.kernel_size)[None]
+    return anisotropic_convolve(field, cfg.ac)
 
 
 def _convert_adjoint(energy_grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     if cfg.converter == "sc":
         # The box kernel is symmetric, so the box sum is its own adjoint.
-        return standard_convolve(energy_grad[0], cfg.kernel_size)
-    return ac_adjoint(energy_grad, cfg.ac_config())
+        return standard_convolve(energy_grad[0], cfg.ac.kernel_size)
+    return ac_adjoint(energy_grad, cfg.ac)
 
 
 def ground_truth(labels, num_classes: int, cfg: TrainConfig) -> LineTarget:
@@ -321,35 +303,49 @@ def ground_truth(labels, num_classes: int, cfg: TrainConfig) -> LineTarget:
     loss.  The point loss reads the same integer energies.
     """
     e_gt = convert(one_hot(labels, num_classes), cfg)
-    return line_target(e_gt, cfg.mu_exp, cfg.kernel_size // 2)
+    return line_target(e_gt, cfg.loss.mu_exp, cfg.ac.radius)
+
+
+def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None):
+    """The training objective CE + lambda1 * point + lambda2 * line, and its gradient.
+
+    probs is a (K, H, W) probability field.  Returns the terms (ce, point,
+    line and their weighted total) and the gradient of the total w.r.t.
+    probs: the potential-domain gradients are chained back through the
+    converter's adjoint.  A potential term is evaluated only when its
+    weight is positive, and reads 0.0 otherwise.  target is
+    ground_truth(labels, ...); it is built here when needed and not given.
+    """
+    loss = cfg.loss
+    ce = cross_entropy_loss(probs, labels)
+    terms = {"ce": ce.value, "point": 0.0, "line": 0.0}
+    dprobs = ce.gradient
+    if loss.lambda1 > 0 or loss.lambda2 > 0:
+        if target is None:
+            target = ground_truth(labels, probs.shape[0], cfg)
+        e_pred = convert(probs, cfg)
+        e_grad = np.zeros_like(e_pred)
+        if loss.lambda1 > 0:
+            pt = point_loss(target.energies, e_pred, loss)
+            terms["point"] = pt.value
+            e_grad += loss.lambda1 * pt.gradient
+        if loss.lambda2 > 0:
+            # Keep these four arguments positional: perfbench/tracer.py unpacks them.
+            ln = equipotential_line_loss(target, e_pred, loss, cfg.ac.radius)
+            terms["line"] = ln.value
+            e_grad += loss.lambda2 * ln.gradient
+        dprobs += _convert_adjoint(e_grad, cfg)
+    terms["total"] = terms["ce"] + loss.lambda1 * terms["point"] + loss.lambda2 * terms["line"]
+    return terms, dprobs
 
 
 def backward(net: TinyNet, image, labels, cfg: TrainConfig, target: LineTarget | None = None):
-    """Loss terms and the flat parameter gradient of the combined objective.
+    """Loss terms and the flat parameter gradient of the training objective.
 
     target is ground_truth(labels, ...); it is built here when not given.
     """
     probs, cache = net.forward_with_cache(image)
-    loss_cfg = cfg.loss_config()
-    ce = cross_entropy_loss(probs, labels)
-    terms = {"ce": ce.value, "point": 0.0, "line": 0.0}
-    dprobs = ce.gradient.copy()
-    if cfg.lambda1 > 0 or cfg.lambda2 > 0:
-        if target is None:
-            target = ground_truth(labels, net.num_classes, cfg)
-        e_pred = convert(probs, cfg)
-        e_grad = np.zeros_like(e_pred)
-        if cfg.lambda1 > 0:
-            pt = point_loss(target.energies, e_pred, loss_cfg)
-            terms["point"] = pt.value
-            e_grad += cfg.lambda1 * pt.gradient
-        if cfg.lambda2 > 0:
-            # Keep these four arguments positional: perfbench/tracer.py unpacks them.
-            ln = equipotential_line_loss(target, e_pred, loss_cfg, cfg.kernel_size // 2)
-            terms["line"] = ln.value
-            e_grad += cfg.lambda2 * ln.gradient
-        dprobs += _convert_adjoint(e_grad, cfg)
-    terms["total"] = terms["ce"] + cfg.lambda1 * terms["point"] + cfg.lambda2 * terms["line"]
+    terms, dprobs = objective(probs, labels, cfg, target)
     if not np.isfinite(terms["total"]):
         bad = [k for k in ("ce", "point", "line") if not np.isfinite(terms[k])] or ["total"]
         raise TrainingDiverged(f"non-finite loss term(s) {', '.join(bad)}: {terms}")
@@ -373,7 +369,7 @@ def _epoch_metrics(net: TinyNet, samples) -> dict:
 
 
 def train(dataset, cfg: TrainConfig, num_classes: int | None = None, eval_dataset=None):
-    """SGD with momentum over the combined loss; returns (net, history).
+    """SGD with momentum over the training objective; returns (net, history).
 
     History holds one record per epoch: mean loss terms over the epoch's
     steps plus mIoU / trimap IoU / boundary F of the current net on
@@ -388,7 +384,7 @@ def train(dataset, cfg: TrainConfig, num_classes: int | None = None, eval_datase
     net = TinyNet(1, num_classes, seed=cfg.seed)
     velocity = np.zeros_like(net.theta)
     eval_samples = samples if eval_dataset is None else list(eval_dataset)
-    potential = cfg.lambda1 > 0 or cfg.lambda2 > 0
+    potential = cfg.loss.lambda1 > 0 or cfg.loss.lambda2 > 0
     targets = [ground_truth(s.labels, num_classes, cfg) if potential else None for s in samples]
     history = []
     for epoch in range(cfg.epochs):
@@ -451,7 +447,3 @@ def load_checkpoint(stem):
         )
     net.theta = theta
     return net, sidecar
-
-
-def train_config_to_json(cfg: TrainConfig) -> dict:
-    return asdict(cfg)

@@ -244,8 +244,9 @@ def _desk_run(seed, lambda1, lambda2, converter):
     val = samples[::5]
     train = [s for i, s in enumerate(samples) if i % 5 != 0]
     cfg = model.TrainConfig(epochs=EPOCHS, batch_size=8, learning_rate=LEARNING_RATE,
-                            seed=seed, lambda1=lambda1, lambda2=lambda2,
-                            kernel_size=7, splitter="A", mu_exp=10, norm="l2",
+                            seed=seed,
+                            loss=LossConfig(lambda1=lambda1, lambda2=lambda2, mu_exp=10, norm="l2"),
+                            ac=ACConfig(kernel_size=7, splitter=make_splitter("A")),
                             converter=converter)
     start = time.perf_counter()
     _net, history = model.train(train, cfg, eval_dataset=val)

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from epl import datagen, io, model
+from epl import datagen, gradcheck, io, model
 from epl.cli import main
 from epl.fields import one_hot, standard_convolve
 from epl.losses import LossConfig, equipotential_line_loss, point_loss
-from epl.config import ConfigError, DEFAULTS, load_config
+from epl.config import ConfigError, DEFAULTS, build_train_config, load_config
 
 TINY = {
     "dataset": {"kind": "mixed", "height": 24, "width": 24, "classes": 3,
@@ -49,6 +49,9 @@ class TestConfig:
         assert cfg["eval"]["trimap_widths"] == [1, 3, 5, 10]
         assert set(cfg["ablate"]["mu_values"]) == {2, 4, 10, 16, 20}
         assert cfg["ablate"]["weights"] == [0.05, 0.1, 0.2, 0.25, 0.5]
+
+    def test_defaults_build_the_default_train_config(self):
+        assert build_train_config(load_config()) == model.TrainConfig()
 
     def test_rejects_odd_mu(self, tmp_path):
         path = tmp_path / "c.json"
@@ -186,6 +189,44 @@ class TestTrainLossEval:
         assert records["point"]["value"] == pytest.approx(point / len(samples), rel=1e-12)
         assert records["line"]["value"] == pytest.approx(line / len(samples), rel=1e-12)
 
+    def test_checkpoint_records_the_nested_config(self, tmp_path, tiny_config):
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        for flags, converter, weights in ((("--epl", "off"), "ac", (0.0, 0.0)),
+                                          (("--ablate", "sc"), "sc", (0.1, 0.01))):
+            out = tmp_path / converter
+            assert run("train", "--config", tiny_config, "--data", data, "--out", out,
+                       "--seed", 4, *flags) == 0
+            recorded = json.loads((out / "checkpoint.json").read_text())["config"]
+            assert recorded == {
+                "converter": converter,
+                "seed": 4,
+                "ac": {"kernel_size": 5, "splitter": "A"},
+                "loss": {"norm": "l2", "reduction": "mean", "mu_exp": 10,
+                         "lambda1": weights[0], "lambda2": weights[1]},
+                "train": {"epochs": 1, "batch_size": 4, "learning_rate": 0.05, "momentum": 0.9},
+            }
+            cfg = build_train_config(recorded, converter=converter)
+            assert (cfg.converter, cfg.seed, cfg.ac.kernel_size) == (converter, 4, 5)
+            assert (cfg.loss.lambda1, cfg.loss.lambda2) == weights
+
+    def test_loss_of_a_zero_weight_checkpoint(self, tmp_path, tiny_config):
+        # Like its history, the report of a CE-only checkpoint reads 0.0 for
+        # the point and line terms, and the combined loss is the CE.
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        out = tmp_path / "run_off"
+        assert run("train", "--config", tiny_config, "--data", data, "--out", out,
+                   "--epl", "off") == 0
+        report = tmp_path / "losses.json"
+        assert run("loss", "--data", data, "--checkpoint", out / "checkpoint",
+                   "--out", report) == 0
+        values = {r["loss_name"]: r["value"] for r in json.loads(report.read_text())}
+        assert values["point"] == values["line"] == 0.0
+        assert values["combined"] == values["cross_entropy"] > 0.0
+        history = json.loads((out / "history.json").read_text())
+        assert history[-1]["loss_point"] == history[-1]["loss_line"] == 0.0
+
     def test_sc_ablation_flag(self, tmp_path, tiny_config):
         data = tmp_path / "data"
         assert run("gen", "--config", tiny_config, "--out", data) == 0
@@ -225,9 +266,16 @@ class TestGradcheckCommand:
         assert payload["reports"][0]["loss_name"] == "point_l2"
         assert payload["reports"][0]["fraction_passing"] >= 0.95
 
+    def test_mu_exp_defaults_to_run_gradcheck(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run("gradcheck", "--loss", "line", "--samples", 8, "--out", out) == 0
+        report = json.loads(out.read_text())["reports"][0]
+        assert report == gradcheck.run_gradcheck("line", samples=8, seed=0).to_json()
+
 
 class TestAblate:
-    @pytest.mark.parametrize("sweep,expected_rows", [("mu", 5), ("splitter", 3), ("weight", 5)])
+    @pytest.mark.parametrize("sweep,expected_rows",
+                             [("mu", 5), ("splitter", 3), ("kernel", 3), ("weight", 5)])
     def test_sweeps_emit_expected_rows(self, tmp_path, tiny_config, sweep, expected_rows):
         out = tmp_path / f"ab_{sweep}"
         assert run("ablate", "--config", tiny_config, "--sweep", sweep, "--out", out) == 0
@@ -263,4 +311,35 @@ class TestErrorPaths:
         assert run("loss", "--data", data, "--checkpoint", tmp_path / "ck",
                    "--out", tmp_path / "losses.json") == 2
         assert f"checkpoint {field} is {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "losses.json").exists()
+
+    def test_loss_on_an_empty_dataset_exits_2(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text(json.dumps({"samples": []}))
+        model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0))
+        assert run("loss", "--data", data, "--checkpoint", tmp_path / "ck") == 2
+        assert "the dataset has no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "loss"])
+    def test_manifest_without_samples_exits_2(self, tmp_path, capsys, command):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text(json.dumps({"scene": {}}))
+        model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0))
+        where = ("--out", tmp_path / "run") if command == "train" else ("--checkpoint", tmp_path / "ck")
+        assert run(command, "--data", data, *where) == 2
+        assert "no 'samples' list" in capsys.readouterr().err
+
+    def test_loss_rejects_a_flat_sidecar_config(self, tmp_path, tiny_config, capsys):
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        flat = {"epochs": 1, "batch_size": 4, "learning_rate": 0.05, "momentum": 0.9,
+                "seed": 0, "lambda1": 0.1, "lambda2": 0.01, "kernel_size": 5,
+                "splitter": "A", "mu_exp": 10, "norm": "l2", "reduction": "mean",
+                "converter": "ac"}
+        model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0), flat)
+        assert run("loss", "--data", data, "--checkpoint", tmp_path / "ck",
+                   "--out", tmp_path / "losses.json") == 2
+        assert "flat config must be retrained" in capsys.readouterr().err
         assert not (tmp_path / "losses.json").exists()

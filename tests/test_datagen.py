@@ -210,3 +210,9 @@ class TestSampleIO:
         samples, manifest = read_dataset(tmp_path / "a")
         assert len(samples) == 3
         assert manifest["scene"]["kind"] == "adjacent_rects"
+
+    @pytest.mark.parametrize("manifest", ['{"scene": {}}', '{"samples": "sample_0000"}', '[]'])
+    def test_manifest_without_a_samples_list_raises(self, tmp_path, manifest):
+        (tmp_path / "manifest.json").write_text(manifest)
+        with pytest.raises(io.FormatError, match="no 'samples' list"):
+            read_dataset(tmp_path)

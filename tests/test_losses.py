@@ -6,15 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epl.fields import ACConfig, anisotropic_convolve, make_splitter, one_hot, standard_convolve
+from epl import model
+from epl.fields import (
+    ACConfig,
+    ac_adjoint,
+    anisotropic_convolve,
+    make_splitter,
+    one_hot,
+    standard_convolve,
+)
 from epl.losses import (
     EMPTY_LEVEL_EPS,
     LineTarget,
     LossConfig,
-    LossValue,
     _int_pow,
     build_line_regions,
-    combine_losses,
     cross_entropy_loss,
     dice_loss,
     equipotential_dice,
@@ -455,27 +461,66 @@ class TestDice:
 
 
 class TestCombine:
+    """The weighted total CE + lambda1 * point + lambda2 * line, formed by model.objective."""
+
+    @staticmethod
+    def scene(seed=0, k=3, size=12):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, k, (size, size))
+        raw = rng.uniform(0.05, 1.0, (k, size, size))
+        return raw / raw.sum(axis=0), labels
+
+    @staticmethod
+    def train_cfg(converter="ac", **loss):
+        return model.TrainConfig(loss=LossConfig(mu_exp=2, **loss), ac=ACConfig(kernel_size=5),
+                                 converter=converter)
+
     def test_zero_weights_equal_ce(self):
-        ce = LossValue(0.7, np.ones((2, 2, 2)))
-        out = combine_losses(ce, LossValue(5.0), LossValue(9.0), LossConfig(lambda1=0, lambda2=0))
-        assert out.value == 0.7
+        probs, labels = self.scene()
+        terms, dprobs = model.objective(probs, labels, self.train_cfg(lambda1=0.0, lambda2=0.0))
+        ce = cross_entropy_loss(probs, labels)
+        assert terms == {"ce": ce.value, "point": 0.0, "line": 0.0, "total": ce.value}
+        npt.assert_array_equal(dprobs, ce.gradient)
 
     def test_weighted_arithmetic(self):
-        cfg = LossConfig(lambda1=0.1, lambda2=0.01)
-        out = combine_losses(LossValue(1.0), LossValue(2.0), LossValue(3.0), cfg)
-        npt.assert_allclose(out.value, 1.23)
+        probs, labels = self.scene(seed=1)
+        cfg = self.train_cfg(lambda1=0.1, lambda2=0.01)
+        terms, _ = model.objective(probs, labels, cfg)
+        e_gt = anisotropic_convolve(one_hot(labels, 3), cfg.ac)
+        e_pred = anisotropic_convolve(probs, cfg.ac)
+        assert terms["ce"] == cross_entropy_loss(probs, labels).value
+        assert terms["point"] == point_loss(e_gt, e_pred, cfg.loss).value
+        assert terms["line"] == equipotential_line_loss(e_gt, e_pred, cfg.loss, 2).value
+        assert terms["total"] == terms["ce"] + 0.1 * terms["point"] + 0.01 * terms["line"]
 
     def test_default_weights(self):
         cfg = LossConfig()
         assert cfg.lambda1 == 0.1 and cfg.lambda2 == 0.01
+        assert model.TrainConfig().loss == cfg
 
     def test_gradient_combination(self):
-        g = np.ones((2, 2, 2))
-        cfg = LossConfig(lambda1=0.5, lambda2=0.25)
-        out = combine_losses(LossValue(1.0, g), LossValue(1.0, 2 * g), LossValue(1.0, 4 * g), cfg)
-        npt.assert_allclose(out.gradient, g * (1 + 0.5 * 2 + 0.25 * 4))
-        partial = combine_losses(LossValue(1.0, g), LossValue(1.0), LossValue(1.0, g), cfg)
-        assert partial.gradient is None
+        probs, labels = self.scene(seed=2)
+        ce = cross_entropy_loss(probs, labels)
+        for converter in ("ac", "sc"):
+            for l1, l2 in ((0.5, 0.25), (0.5, 0.0), (0.0, 0.25)):
+                cfg = self.train_cfg(converter, lambda1=l1, lambda2=l2)
+                terms, dprobs = model.objective(probs, labels, cfg)
+                if converter == "sc":
+                    e_gt = standard_convolve(one_hot(labels, 3), 5)[None]
+                    e_pred = standard_convolve(probs, 5)[None]
+                else:
+                    e_gt = anisotropic_convolve(one_hot(labels, 3), cfg.ac)
+                    e_pred = anisotropic_convolve(probs, cfg.ac)
+                e_grad = (l1 * point_loss(e_gt, e_pred, cfg.loss).gradient
+                          + l2 * equipotential_line_loss(e_gt, e_pred, cfg.loss, 2).gradient)
+                if converter == "sc":
+                    adjoint = standard_convolve(e_grad[0], 5)
+                else:
+                    adjoint = ac_adjoint(e_grad, cfg.ac)
+                npt.assert_array_equal(dprobs, ce.gradient + adjoint)
+                # a zero-weight term is not evaluated and reads 0.0
+                assert (terms["point"] == 0.0) == (l1 == 0.0)
+                assert (terms["line"] == 0.0) == (l2 == 0.0)
 
 
 class TestClassPermutationInvariance:

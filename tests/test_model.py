@@ -5,9 +5,9 @@ import numpy.testing as npt
 import pytest
 
 from epl import datagen, model
-from epl.fields import shift2d
+from epl.fields import ACConfig, shift2d
 from epl.io import FormatError
-from epl.losses import cross_entropy_loss
+from epl.losses import LossConfig, cross_entropy_loss
 from epl.model import TinyNet, TrainConfig, TrainingDiverged
 
 
@@ -17,10 +17,9 @@ def tiny_sample(seed=0, size=16, sigma=0.1):
     return datagen.generate_sample(spec, 0)
 
 
-def small_cfg(**kw):
-    base = dict(epochs=2, batch_size=2, learning_rate=0.05, seed=0, kernel_size=5)
-    base.update(kw)
-    return TrainConfig(**base)
+def small_cfg(epochs=2, converter="ac", **loss):
+    return TrainConfig(epochs=epochs, batch_size=2, learning_rate=0.05, seed=0,
+                       loss=LossConfig(**loss), ac=ACConfig(kernel_size=5), converter=converter)
 
 
 class TestForward:
@@ -204,7 +203,7 @@ class TestTrain:
     def test_single_sample_overfit_ce_only(self):
         s = tiny_sample(seed=1)
         cfg = TrainConfig(epochs=200, batch_size=1, learning_rate=0.1,
-                          lambda1=0.0, lambda2=0.0, seed=0)
+                          loss=LossConfig(lambda1=0.0, lambda2=0.0), seed=0)
         _, history = model.train([s], cfg)
         assert history[-1]["loss_ce"] < 0.1
         ce = [h["loss_ce"] for h in history]
