@@ -11,6 +11,15 @@ integers in [0, radius + 1]; the level sets of the intermediate values
 
 Kernel and mask weights are fixed constants; nothing here is trained.  All
 operations are pure functions and accumulate in float64.
+
+The conversions shift by flat offsets: the planes are copied into a
+buffer with a zero border as wide as the reach and flattened, so a shift
+by (dy, dx) is one contiguous 1-D add at offset dy * row_length + dx, and
+the interior is cropped at the end.  Each pixel's terms are added in the
+same order as in-range slice adds would; the border contributes exact
++0.0 terms, which change a sum only by turning an all -0.0 sum into +0.0
+(never the case for softmax outputs or one-hot fields).  The adjoint pads
+one direction's planes at a time, not all |S| at once.
 """
 
 from __future__ import annotations
@@ -93,17 +102,26 @@ def shift2d(planes: np.ndarray, dy: int, dx: int) -> np.ndarray:
     return out
 
 
-def _add_shifted(acc: np.ndarray, planes: np.ndarray, dy: int, dx: int) -> None:
-    """acc += shift2d(planes, dy, dx) in place, without the zero-filled copy.
+def _add_at_offset(acc: np.ndarray, src: np.ndarray, offset: int) -> None:
+    """acc[..., i] += src[..., i + offset] in place, wherever both indices exist.
 
-    Only the in-range slice is added.  The skipped terms were +0.0, which
-    changes a sum only by turning -0.0 into +0.0.
+    Both arrays hold flattened planes along their last axis, so a 2-D shift
+    (dy, dx) of a plane with row length wp is the flat offset dy * wp + dx.
+    With a zero border at least as wide as the shift, the source of every
+    interior pixel stays in its own row and plane, and the border adds zeros.
     """
-    h, w = planes.shape[-2:]
-    y0, y1 = max(0, -dy), min(h, h - dy)
-    x0, x1 = max(0, -dx), min(w, w - dx)
-    if y0 < y1 and x0 < x1:
-        acc[..., y0:y1, x0:x1] += planes[..., y0 + dy:y1 + dy, x0 + dx:x1 + dx]
+    n = acc.shape[-1]
+    lo, hi = max(0, -offset), min(n, n - offset)
+    if lo < hi:
+        acc[..., lo:hi] += src[..., lo + offset:hi + offset]
+
+
+def _zero_bordered(f: np.ndarray, r: int) -> np.ndarray:
+    """(K, H, W) planes copied into the interior of a zeroed (K, H+2r, W+2r) buffer."""
+    k, h, w = f.shape
+    pad = np.zeros((k, h + 2 * r, w + 2 * r))
+    pad[:, r:r + h, r:r + w] = f
+    return pad
 
 
 def _as_field(field) -> np.ndarray:
@@ -136,13 +154,19 @@ def anisotropic_convolve(field, cfg: ACConfig) -> np.ndarray:
     The map is linear in the field, so it accepts any real-valued input.
     """
     f = _as_field(field)
+    k, h, w = f.shape
     r = cfg.radius
     dirs = cfg.splitter.directions
+    pad = _zero_bordered(f, r)
+    wp = pad.shape[-1]
+    flat = pad.reshape(k, -1)
+    acc = np.empty_like(flat)
     out = np.empty((len(dirs),) + f.shape, dtype=np.float64)
     for si, (dy, dx) in enumerate(dirs):
-        out[si] = f
+        acc[...] = flat
         for t in range(1, r + 1):
-            _add_shifted(out[si], f, t * dy, t * dx)
+            _add_at_offset(acc, flat, t * (dy * wp + dx))
+        out[si] = acc.reshape(pad.shape)[:, r:r + h, r:r + w]
     return out
 
 
@@ -158,11 +182,19 @@ def ac_adjoint(energy_grad, cfg: ACConfig) -> np.ndarray:
         raise ValueError(
             f"energy gradient must have shape (|S|={len(dirs)}, classes, height, width), got {g.shape}"
         )
-    out = np.zeros(g.shape[1:], dtype=np.float64)
+    k, h, w = g.shape[1:]
+    r = cfg.radius
+    # One direction's planes at a time: padding all |S| at once costs memory and time.
+    pad = _zero_bordered(g[0], r)
+    wp = pad.shape[-1]
+    flat = pad.reshape(k, -1)
+    acc = np.zeros_like(flat)
     for si, (dy, dx) in enumerate(dirs):
-        for t in range(cfg.radius + 1):
-            _add_shifted(out, g[si], -t * dy, -t * dx)
-    return out
+        if si:
+            pad[:, r:r + h, r:r + w] = g[si]
+        for t in range(r + 1):
+            _add_at_offset(acc, flat, -t * (dy * wp + dx))
+    return acc.reshape(pad.shape)[:, r:r + h, r:r + w].copy()
 
 
 def standard_convolve(field, kernel_size: int) -> np.ndarray:
@@ -174,16 +206,22 @@ def standard_convolve(field, kernel_size: int) -> np.ndarray:
     if kernel_size < 1 or kernel_size % 2 == 0:
         raise ValueError(f"kernel_size must be odd, got {kernel_size}")
     f = _as_field(field)
+    k, h, w = f.shape
     r = kernel_size // 2
-    rows = f.copy()
+    pad = _zero_bordered(f, r)
+    wp = pad.shape[-1]
+    flat = pad.reshape(k, -1)
+    # Column sums first; their border columns stay +0.0 for the row pass, and
+    # no interior pixel of the row pass reads their (nonzero) border rows.
+    rows = flat.copy()
     for t in range(1, r + 1):
-        _add_shifted(rows, f, t, 0)
-        _add_shifted(rows, f, -t, 0)
+        _add_at_offset(rows, flat, t * wp)
+        _add_at_offset(rows, flat, -t * wp)
     out = rows.copy()
     for t in range(1, r + 1):
-        _add_shifted(out, rows, 0, t)
-        _add_shifted(out, rows, 0, -t)
-    return out
+        _add_at_offset(out, rows, t)
+        _add_at_offset(out, rows, -t)
+    return out.reshape(pad.shape)[:, r:r + h, r:r + w].copy()
 
 
 def potential_oracle(field, cfg: ACConfig) -> np.ndarray:

@@ -12,10 +12,12 @@ or off.
 
 Each net keeps a workspace for the last input shape it saw: every
 intermediate of the conv layers (padded inputs, im2col matrices, conv
-outputs, logits, hidden-layer gradients, the col2im accumulator), 6.8 MB at
-64x64 and 15.2 MB at 96x96 for one input channel and three classes.  It is
-rebuilt only when the shape changes, so a steady-state step allocates (and
-page-faults in) none of them.  Hence:
+outputs, logits, hidden-layer gradients, col2im's padded planes and
+accumulator), 5.0 MB at 64x64 and 11.1 MB at 96x96 for one input channel and
+three classes.  It is rebuilt only when the shape changes, so a steady-state
+step allocates (and page-faults in) none of them.  col2im runs over
+zero-bordered, flattened planes, one tap at a time, so each of its nine
+shifted adds is one contiguous 1-D add (fields._add_at_offset).  Hence:
 
 - the cache of ``forward_with_cache`` is valid until the next forward on the
   same net; probabilities, gradients and losses are fresh arrays;
@@ -33,6 +35,7 @@ import numpy as np
 from . import io, metrics, seeding
 from .fields import (
     ACConfig,
+    _add_at_offset,
     ac_adjoint,
     anisotropic_convolve,
     one_hot,
@@ -91,9 +94,11 @@ class _Workspace:
 
     Forward: the zero-bordered padded inputs (pad1, pad2) and im2col
     matrices (cols1, cols2) of both 3x3 convs, their outputs z1 and z2, a2 =
-    relu(z2) and the logits.  Backward: the hidden-layer gradient dz, the
-    second conv's dcols and its padded col2im accumulator acc; the logits
-    buffer is reused for the softmax-input gradient.
+    relu(z2) and the logits.  Backward: the hidden-layer gradient dz; for the
+    second conv's col2im, gpad (its output gradient with a zero border), one
+    tap's columns dcols (HIDDEN, (H+2)*(W+2)) over the padded planes and the
+    padded accumulator acc; the logits buffer is reused for the
+    softmax-input gradient.
     """
 
     def __init__(self, shape: tuple, num_classes: int):
@@ -105,7 +110,8 @@ class _Workspace:
         self.cols2 = np.empty((HIDDEN, 9, h, w))
         self.z1, self.z2, self.a2, self.dz = np.empty((4, HIDDEN, h, w))
         self.logits = np.empty((num_classes, h, w))
-        self.dcols = np.empty((HIDDEN, 9, h, w))
+        self.gpad = np.zeros((HIDDEN, h + 2, w + 2))
+        self.dcols = np.empty((HIDDEN, (h + 2) * (w + 2)))
         self.acc = np.empty((HIDDEN, h + 2, w + 2))
 
 
@@ -137,18 +143,23 @@ def _conv3_param_grads(g: np.ndarray, cols: np.ndarray, w: np.ndarray):
 
 
 def _conv3_input_grad(g: np.ndarray, w: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """Input gradient of a 3x3 conv: GEMM into ws.dcols, then col2im into ws.acc.
+    """Input gradient of a 3x3 conv by col2im into ws.acc; returns the interior view dx.
 
-    Each dcols[:, ui] is added into its shifted slice of the zeroed, padded
-    accumulator in _OFFSETS3 order; the returned interior view is dx.
+    g is copied into the zero-bordered ws.gpad.  For each tap, in _OFFSETS3
+    order, one GEMM of the tap's (Cin, Cout) weights with the flattened
+    padded planes fills ws.dcols (its border is ±0.0), which is added into
+    the zeroed accumulator at the tap's flat offset.
     """
-    cout = w.shape[0]
-    h, wd = g.shape[-2:]
-    dcols, acc = ws.dcols, ws.acc
-    np.matmul(w.reshape(cout, -1).T, g.reshape(cout, -1), out=dcols.reshape(w[0].size, -1))
-    acc.fill(0.0)
+    cout, cin = w.shape[:2]
+    wp = g.shape[-1] + 2
+    gpad, dcols, acc = ws.gpad, ws.dcols, ws.acc
+    gpad[:, 1:-1, 1:-1] = g
+    taps = np.ascontiguousarray(w.reshape(cout, cin, 9).transpose(2, 1, 0))
+    flat = acc.reshape(cin, -1)
+    flat.fill(0.0)
     for ui, (dy, dx) in enumerate(_OFFSETS3):
-        acc[:, 1 + dy:1 + dy + h, 1 + dx:1 + dx + wd] += dcols[:, ui]
+        np.matmul(taps[ui], gpad.reshape(cout, -1), out=dcols)
+        _add_at_offset(flat, dcols, -(dy * wp + dx))
     return acc[:, 1:-1, 1:-1]
 
 
@@ -439,7 +450,14 @@ def load_checkpoint(stem):
             raise io.FormatError(
                 f"{stem}: checkpoint {field} is {sidecar.get(field)!r}, this net has {expected!r}"
             )
-    net = TinyNet(int(sidecar["in_channels"]), int(sidecar["num_classes"]))
+    dims = []
+    for field in ("in_channels", "num_classes"):
+        value = sidecar.get(field)
+        if type(value) is not int:  # a bool or float is no channel count either
+            shown = repr(value) if field in sidecar else "missing"
+            raise io.FormatError(f"{stem}: checkpoint {field} is {shown}, expected an integer")
+        dims.append(value)
+    net = TinyNet(*dims)
     theta = io.read_tensor(stem + ".eplt").astype(np.float64)
     if theta.shape != net.theta.shape:
         raise io.FormatError(

@@ -11,6 +11,8 @@ from epl.fields import one_hot, standard_convolve
 from epl.losses import LossConfig, equipotential_line_loss, point_loss
 from epl.config import ConfigError, DEFAULTS, build_train_config, load_config
 
+MISSING = object()  # a sidecar field that is dropped, not set
+
 TINY = {
     "dataset": {"kind": "mixed", "height": 24, "width": 24, "classes": 3,
                 "noise_sigma": 0.12, "count": 6},
@@ -299,18 +301,29 @@ class TestErrorPaths:
                    "--out", tmp_path / "o.eplt") == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("field,value", [("architecture", "conv5x5-softmax"), ("hidden", 16)])
+    @pytest.mark.parametrize("field,value", [
+        ("architecture", "conv5x5-softmax"),
+        ("hidden", 16),
+        pytest.param("in_channels", MISSING, id="in_channels-missing"),
+        pytest.param("num_classes", MISSING, id="num_classes-missing"),
+        ("in_channels", "1"),
+        ("num_classes", None),
+    ])
     def test_loss_rejects_a_checkpoint_of_another_net(self, tmp_path, tiny_config, capsys,
                                                       field, value):
         data = tmp_path / "data"
         assert run("gen", "--config", tiny_config, "--out", data) == 0
         model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0))
         sidecar = json.loads((tmp_path / "ck.json").read_text())
-        sidecar[field] = value
+        if value is MISSING:
+            del sidecar[field]
+        else:
+            sidecar[field] = value
         (tmp_path / "ck.json").write_text(json.dumps(sidecar))
         assert run("loss", "--data", data, "--checkpoint", tmp_path / "ck",
                    "--out", tmp_path / "losses.json") == 2
-        assert f"checkpoint {field} is {value!r}" in capsys.readouterr().err
+        shown = "missing" if value is MISSING else repr(value)
+        assert f"checkpoint {field} is {shown}" in capsys.readouterr().err
         assert not (tmp_path / "losses.json").exists()
 
     def test_loss_on_an_empty_dataset_exits_2(self, tmp_path, capsys):

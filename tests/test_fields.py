@@ -249,7 +249,7 @@ class TestShift2d:
 
 
 class TestShiftedCopyReference:
-    """The in-place slice adds are bit-identical to adding zero-filled shift2d copies."""
+    """The flat-offset adds are bit-identical to adding zero-filled shift2d copies."""
 
     @staticmethod
     def reference_convolve(f, c):
@@ -281,7 +281,10 @@ class TestShiftedCopyReference:
             out += shift2d(rows, 0, -t)
         return out
 
-    @pytest.mark.parametrize("shape", [(3, 10, 10), (2, 12, 9), (1, 3, 2), (3, 64, 64)])
+    # (2, 3, 3) and (1, 2, 5) are smaller than the reach of kernels 7 and 9.
+    @pytest.mark.parametrize("shape", [(3, 10, 10), (2, 12, 9), (1, 3, 2), (3, 64, 64),
+                                       (2, 1, 1), (3, 1, 9), (3, 9, 1), (3, 13, 11),
+                                       (2, 3, 3), (1, 2, 5)])
     @pytest.mark.parametrize("w", [3, 7, 9])
     def test_conversion_adjoint_and_box(self, shape, w):
         rng = np.random.default_rng(w)

@@ -11,6 +11,9 @@ from epl.losses import LossConfig, cross_entropy_loss
 from epl.model import TinyNet, TrainConfig, TrainingDiverged
 
 
+MISSING = object()  # a sidecar field that is dropped, not set
+
+
 def tiny_sample(seed=0, size=16, sigma=0.1):
     spec = datagen.SceneSpec(kind="adjacent_rects", height=size, width=size,
                              classes=3, noise_sigma=sigma, count=1, seed=seed)
@@ -115,8 +118,10 @@ class TestConvReference:
     def test_matches_the_shift_and_stack_path(self):
         rng = np.random.default_rng(11)
         net = TinyNet(1, 3, seed=4)
-        # alternating shapes on one net: the workspace is rebuilt each time
-        for shape in ((10, 10), (12, 9), (64, 64), (12, 9), (10, 10)):
+        # alternating shapes on one net: the workspace is rebuilt each time;
+        # odd sizes run the padded col2im GEMM at many column counts
+        for shape in ((10, 10), (12, 9), (64, 64), (12, 9), (10, 10), (1, 1), (1, 9),
+                      (9, 1), (13, 11), (7, 5), (31, 29), (33, 65)):
             image = rng.normal(size=shape)
             dprobs = rng.normal(size=(3,) + shape)
             probs, cache = net.forward_with_cache(image)
@@ -271,11 +276,24 @@ class TestCheckpoint:
         with pytest.raises(FormatError):
             model.load_checkpoint(tmp_path / "ck")
 
-    @pytest.mark.parametrize("field,value", [("architecture", "conv5x5-softmax"), ("hidden", 16)])
+    @pytest.mark.parametrize("field,value", [
+        ("architecture", "conv5x5-softmax"),
+        ("hidden", 16),
+        pytest.param("in_channels", MISSING, id="in_channels-missing"),
+        pytest.param("num_classes", MISSING, id="num_classes-missing"),
+        ("in_channels", None),
+        ("num_classes", None),
+        ("num_classes", "3"),
+        ("num_classes", 3.0),
+        ("in_channels", True),
+    ])
     def test_other_architecture_rejected(self, tmp_path, field, value):
         model.save_checkpoint(tmp_path / "ck", TinyNet(1, 3, seed=0))
         sidecar = json.loads((tmp_path / "ck.json").read_text())
-        sidecar[field] = value
+        if value is MISSING:
+            del sidecar[field]
+        else:
+            sidecar[field] = value
         (tmp_path / "ck.json").write_text(json.dumps(sidecar))
         with pytest.raises(FormatError, match=f"checkpoint {field} is"):
             model.load_checkpoint(tmp_path / "ck")
