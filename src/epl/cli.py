@@ -3,8 +3,11 @@
 Subcommands: gen, convert, loss, gradcheck, train, eval, ablate.  Every
 command resolves one JSON config (defaults <- --config file <- flags) and
 writes a config echo next to its outputs, so a result directory always
-records how it was produced.  Exit status is nonzero on validation or
-numerical failure.
+records how it was produced.  A flag that sets a config key has that key's
+dotted path as its argparse dest (--kernel-size is "ac.kernel_size"), so
+one reader turns the given flags plus --seed into the override of every
+command, convert and eval included.  Exit status is nonzero on validation
+or numerical failure.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ import numpy as np
 
 from . import config as config_mod
 from . import datagen, gradcheck, io, metrics, model
-from .config import ConfigError
-from .fields import anisotropic_convolve, one_hot
-from .losses import dice_loss
+from .fields import SPLITTER_KINDS, anisotropic_convolve, one_hot
+from .losses import NORMS, dice_loss
 
 
 def _write_json(path, payload) -> None:
@@ -38,56 +40,36 @@ def _echo_config(out_dir, command: str, cfg: dict, extra: dict | None = None) ->
     _write_json(out / "config_echo.json", payload)
 
 
-def _flag_overrides(args, mapping: dict) -> dict:
-    """Build a nested override dict from the non-None CLI flags."""
+def _flag_overrides(args) -> dict:
+    """The nested config override of the given flags: --seed and every dotted dest."""
     overrides: dict = {}
-    for attr, path in mapping.items():
-        value = getattr(args, attr, None)
-        if value is None:
+    for dest, value in vars(args).items():
+        if value is None or not (dest == "seed" or "." in dest):
             continue
+        *sections, key = dest.split(".")
         node = overrides
-        for key in path[:-1]:
-            node = node.setdefault(key, {})
-        node[path[-1]] = value
+        for section in sections:
+            node = node.setdefault(section, {})
+        node[key] = value
     return overrides
 
 
-def _generate(cfg: dict) -> list[datagen.Sample]:
-    kind = cfg["dataset"]["kind"]
-    if kind == "mixed":
-        spec = config_mod.build_scene_spec(cfg, kind="adjacent_rects")
-        return datagen.generate_mixed_dataset(spec)
-    return datagen.generate_dataset(config_mod.build_scene_spec(cfg))
+def _generate(cfg: dict) -> tuple[datagen.SceneSpec, list[datagen.Sample]]:
+    spec = config_mod.build_scene_spec(cfg)
+    if cfg["dataset"]["kind"] == "mixed":
+        return spec, datagen.generate_mixed_dataset(spec)
+    return spec, datagen.generate_dataset(spec)
 
 
-def cmd_gen(args) -> int:
-    overrides = _flag_overrides(args, {
-        "seed": ("seed",),
-        "kind": ("dataset", "kind"),
-        "count": ("dataset", "count"),
-        "classes": ("dataset", "classes"),
-        "noise_sigma": ("dataset", "noise_sigma"),
-        "height": ("dataset", "height"),
-        "width": ("dataset", "width"),
-        "gap": ("dataset", "gap"),
-    })
-    cfg = config_mod.load_config(args.config, overrides)
-    samples = _generate(cfg)
-    spec = config_mod.build_scene_spec(
-        cfg, kind="adjacent_rects" if cfg["dataset"]["kind"] == "mixed" else None
-    )
+def cmd_gen(args, cfg: dict) -> int:
+    spec, samples = _generate(cfg)
     datagen.write_dataset(args.out, samples, spec, extra={"kind": cfg["dataset"]["kind"]})
     _echo_config(args.out, "gen", cfg)
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
 
 
-def cmd_convert(args) -> int:
-    overrides = _flag_overrides(args, {
-        "kernel_size": ("ac", "kernel_size"),
-        "splitter": ("ac", "splitter"),
-    })
-    cfg = config_mod.load_config(args.config, overrides)
+def cmd_convert(args, cfg: dict) -> int:
     labels = io.read_pgm(args.labels)
     num_classes = args.classes if args.classes is not None else int(labels.max()) + 1
     ac_cfg = config_mod.build_train_config(cfg).ac
@@ -117,21 +99,7 @@ def _split_train_val(samples: list, val_fraction: float):
     return train, val
 
 
-def cmd_train(args) -> int:
-    overrides = _flag_overrides(args, {
-        "seed": ("seed",),
-        "epochs": ("train", "epochs"),
-        "batch_size": ("train", "batch_size"),
-        "learning_rate": ("train", "learning_rate"),
-        "val_fraction": ("train", "val_fraction"),
-        "lambda1": ("loss", "lambda1"),
-        "lambda2": ("loss", "lambda2"),
-        "mu_exp": ("loss", "mu_exp"),
-        "norm": ("loss", "norm"),
-        "kernel_size": ("ac", "kernel_size"),
-        "splitter": ("ac", "splitter"),
-    })
-    cfg = config_mod.load_config(args.config, overrides)
+def cmd_train(args, cfg: dict) -> int:
     samples, _manifest = datagen.read_dataset(args.data)
     train_set, val_set = _split_train_val(samples, cfg["train"]["val_fraction"])
     train_cfg = config_mod.build_train_config(
@@ -181,9 +149,8 @@ def _checkpoint_train_config(stem, sidecar: dict) -> model.TrainConfig:
         ) from None
 
 
-def cmd_loss(args) -> int:
+def cmd_loss(args, cfg: dict) -> int:
     """Losses of a checkpoint under the converter, kernel, splitter, mu and weights it used."""
-    cfg = config_mod.load_config(args.config, _flag_overrides(args, {"seed": ("seed",)}))
     samples, _ = datagen.read_dataset(args.data)
     if not samples:
         raise ValueError(f"{args.data}: the dataset has no samples")
@@ -212,8 +179,7 @@ def cmd_loss(args) -> int:
     return 0
 
 
-def cmd_gradcheck(args) -> int:
-    cfg = config_mod.load_config(args.config, _flag_overrides(args, {"seed": ("seed",)}))
+def cmd_gradcheck(args, cfg: dict) -> int:
     kinds = gradcheck.LOSS_KINDS if args.loss == "all" else (args.loss,)
     mu_exp = {} if args.mu_exp is None else {"mu_exp": args.mu_exp}
     reports = []
@@ -229,8 +195,7 @@ def cmd_gradcheck(args) -> int:
     return 1 if failing else 0
 
 
-def cmd_eval(args) -> int:
-    cfg = config_mod.load_config(args.config, {})
+def cmd_eval(args, cfg: dict) -> int:
     widths = [int(w) for w in cfg["eval"]["trimap_widths"]]
     tols = [int(t) for t in cfg["eval"]["f_tolerances"]]
     gt_dir = Path(args.gt)
@@ -283,54 +248,39 @@ def _nanmean(values) -> float | None:
     return float(np.mean(vals)) if vals else None
 
 
-SWEEPS = ("mu", "splitter", "kernel", "weight")
+#: sweep -> (config section, key, ablate list of its values, value type)
+SWEEPS = {
+    "mu": ("loss", "mu_exp", "mu_values", int),
+    "splitter": ("ac", "splitter", "splitters", str),
+    "kernel": ("ac", "kernel_size", "kernel_sizes", int),
+    "weight": ("loss", "lambda2", "weights", float),
+}
+
+#: The last epoch's history columns of each ablate row, after the sweep and its value.
+ABLATE_COLUMNS = ("loss_ce", "loss_point", "loss_line", "miou", "trimap_iou", "fmeasure")
 
 
-def cmd_ablate(args) -> int:
-    overrides = _flag_overrides(args, {
-        "seed": ("seed",),
-        "count": ("dataset", "count"),
-        "epochs": ("train", "epochs"),
-    })
-    cfg = config_mod.load_config(args.config, overrides)
-    samples = _generate(cfg)
+def cmd_ablate(args, cfg: dict) -> int:
+    _spec, samples = _generate(cfg)
     train_set, val_set = _split_train_val(samples, cfg["train"]["val_fraction"])
-    ab = cfg["ablate"]
-    if args.sweep == "mu":
-        variants = [("mu_exp", int(v), {"loss": {"mu_exp": int(v)}}) for v in ab["mu_values"]]
-    elif args.sweep == "splitter":
-        variants = [("splitter", s, {"ac": {"splitter": s}}) for s in ab["splitters"]]
-    elif args.sweep == "kernel":
-        variants = [("kernel_size", int(v), {"ac": {"kernel_size": int(v)}}) for v in ab["kernel_sizes"]]
-    else:
-        # Weight sweep follows the line-loss protocol: the swept value is the
-        # line weight, with the point term off.
-        variants = [("lambda2", float(v), {"loss": {"lambda1": 0.0, "lambda2": float(v)}})
-                    for v in ab["weights"]]
+    section, name, values, kind = SWEEPS[args.sweep]
     rows = []
-    for name, value, patch in variants:
+    for value in map(kind, cfg["ablate"][values]):
+        patch = {section: {name: value}}
+        if args.sweep == "weight":
+            # The line-loss protocol: the swept value is the line weight, with the point term off.
+            patch["loss"]["lambda1"] = 0.0
         train_cfg = config_mod.build_train_config(config_mod.merge(cfg, patch))
         _net, history = model.train(train_set, train_cfg, eval_dataset=val_set or None)
         last = history[-1]
         if not all(np.isfinite(v) for k, v in last.items() if k.startswith("loss_")):
             raise RuntimeError(f"non-finite losses in sweep {args.sweep}={value}: {last}")
-        rows.append({
-            "sweep": args.sweep,
-            name: value,
-            "loss_ce": last["loss_ce"],
-            "loss_point": last["loss_point"],
-            "loss_line": last["loss_line"],
-            "miou": last["miou"],
-            "trimap_iou": last["trimap_iou"],
-            "fmeasure": last["fmeasure"],
-        })
+        rows.append({"sweep": args.sweep, name: value, **{k: last[k] for k in ABLATE_COLUMNS}})
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     csv_path = out / f"ablate_{args.sweep}.csv"
-    fieldnames = ["sweep", variants[0][0], "loss_ce", "loss_point", "loss_line",
-                  "miou", "trimap_iou", "fmeasure"]
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=["sweep", name, *ABLATE_COLUMNS])
         writer.writeheader()
         writer.writerows(rows)
     _echo_config(out, "ablate", cfg, {"sweep": args.sweep, "rows": len(rows)})
@@ -350,16 +300,26 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None, help="JSON config file")
         p.add_argument("--seed", type=int, default=None, help="top-level seed override")
 
+    def key_flag(p, flag, key, **kwargs):
+        """A flag that sets the config key at dotted path `key`, its dest."""
+        if "choices" not in kwargs:
+            kwargs["metavar"] = key.rsplit(".", 1)[-1].upper()
+        p.add_argument(flag, dest=key, **kwargs)
+
+    def ac_flags(p):
+        key_flag(p, "--kernel-size", "ac.kernel_size", type=int)
+        key_flag(p, "--splitter", "ac.splitter", choices=SPLITTER_KINDS)
+
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--kind", choices=config_mod.DATASET_KINDS, default=None)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--gap", type=int, default=None)
+    key_flag(p, "--kind", "dataset.kind", choices=config_mod.DATASET_KINDS)
+    key_flag(p, "--count", "dataset.count", type=int)
+    key_flag(p, "--classes", "dataset.classes", type=int)
+    key_flag(p, "--noise-sigma", "dataset.noise_sigma", type=float)
+    key_flag(p, "--height", "dataset.height", type=int)
+    key_flag(p, "--width", "dataset.width", type=int)
+    key_flag(p, "--gap", "dataset.gap", type=int)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("convert", help="convert a label map to potential fields")
@@ -367,8 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True, help="input P5 PGM label map")
     p.add_argument("--out", required=True, help="output .eplt tensor")
     p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--kernel-size", dest="kernel_size", type=int, default=None)
-    p.add_argument("--splitter", choices=("A", "B", "C"), default=None)
+    ac_flags(p)
     p.add_argument("--render", type=str, default=None,
                    help="directory for 0-255 PGM renderings of each energy plane")
     p.set_defaults(func=cmd_convert)
@@ -396,16 +355,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="off trains with cross-entropy only")
     p.add_argument("--ablate", choices=("sc",), default=None,
                    help="sc swaps the directional conversion for a plain box filter")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=None)
-    p.add_argument("--val-fraction", dest="val_fraction", type=float, default=None)
-    p.add_argument("--lambda1", type=float, default=None)
-    p.add_argument("--lambda2", type=float, default=None)
-    p.add_argument("--mu-exp", dest="mu_exp", type=int, default=None)
-    p.add_argument("--norm", choices=("l1", "l2"), default=None)
-    p.add_argument("--kernel-size", dest="kernel_size", type=int, default=None)
-    p.add_argument("--splitter", choices=("A", "B", "C"), default=None)
+    key_flag(p, "--epochs", "train.epochs", type=int)
+    key_flag(p, "--batch-size", "train.batch_size", type=int)
+    key_flag(p, "--learning-rate", "train.learning_rate", type=float)
+    key_flag(p, "--val-fraction", "train.val_fraction", type=float)
+    key_flag(p, "--lambda1", "loss.lambda1", type=float)
+    key_flag(p, "--lambda2", "loss.lambda2", type=float)
+    key_flag(p, "--mu-exp", "loss.mu_exp", type=int)
+    key_flag(p, "--norm", "loss.norm", choices=NORMS)
+    ac_flags(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate predicted label maps against ground truth")
@@ -413,15 +371,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--classes", type=int, default=None)
+    p.add_argument("--classes", type=int, default=None,
+                   help="class count; every label of both maps must lie below it "
+                        "(default: the largest label + 1)")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="hyperparameter sweeps, one CSV row per setting")
     common(p)
     p.add_argument("--sweep", choices=SWEEPS, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--epochs", type=int, default=None)
+    key_flag(p, "--count", "dataset.count", type=int)
+    key_flag(p, "--epochs", "train.epochs", type=int)
     p.set_defaults(func=cmd_ablate)
 
     return parser
@@ -431,16 +391,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (ConfigError, io.FormatError, ValueError) as exc:
+        return args.func(args, config_mod.load_config(args.config, _flag_overrides(args)))
+    except (ValueError, OSError) as exc:  # ConfigError and io.FormatError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (model.TrainingDiverged, RuntimeError) as exc:
+    except RuntimeError as exc:  # model.TrainingDiverged among them
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

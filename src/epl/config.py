@@ -98,48 +98,54 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return cfg
 
 
+#: Each ablate list's entry check: build what its variant will, so a bad entry
+#: fails before any variant trains.
+_ABLATE_CHECKS = {
+    "mu_values": lambda v: LossConfig(mu_exp=int(v)),
+    "weights": lambda v: LossConfig(lambda2=float(v)),
+    "splitters": make_splitter,
+    "kernel_sizes": lambda v: ACConfig(kernel_size=int(v)),
+}
+
+
 def validate_config(cfg: dict) -> None:
-    """Reject invalid values early; builders below re-check the details."""
-    ds = cfg["dataset"]
-    if ds["kind"] not in DATASET_KINDS:
-        raise ConfigError(f"dataset.kind must be one of {DATASET_KINDS}, got {ds['kind']!r}")
+    """Reject invalid values early, each by the object that owns its rule."""
+    ds, tr, ev, ab = cfg["dataset"], cfg["train"], cfg["eval"], cfg["ablate"]
     try:
-        build_scene_spec(cfg, kind="adjacent_rects")  # representative validation
+        if ds["kind"] not in DATASET_KINDS:
+            raise ValueError(f"dataset.kind must be one of {DATASET_KINDS}, got {ds['kind']!r}")
+        build_scene_spec(cfg)
         build_train_config(cfg)
-    except (ValueError, TypeError) as exc:
+        for key, check in _ABLATE_CHECKS.items():
+            if not ab[key]:
+                raise ValueError(f"ablate.{key} must be a nonempty list")
+            for value in ab[key]:
+                try:
+                    check(value)
+                except (ValueError, TypeError, OverflowError) as exc:
+                    raise ValueError(f"ablate.{key}: {exc}") from None
+        if not 0.0 <= tr["val_fraction"] < 1.0:
+            raise ValueError(f"train.val_fraction must lie in [0, 1), got {tr['val_fraction']!r}")
+        for name, least in (("trimap_widths", 1), ("f_tolerances", 0)):
+            if not ev[name] or any(int(v) < least for v in ev[name]):
+                raise ValueError(f"eval.{name} must be a nonempty list of integers >= {least}")
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
-    tr = cfg["train"]
-    if not 0.0 <= tr["val_fraction"] < 1.0:
-        raise ConfigError(f"train.val_fraction must lie in [0, 1), got {tr['val_fraction']!r}")
-    ev = cfg["eval"]
-    for name in ("trimap_widths", "f_tolerances"):
-        vals = ev[name]
-        if not vals or any(int(v) < (1 if name == "trimap_widths" else 0) for v in vals):
-            raise ConfigError(f"eval.{name} must be a nonempty list of valid widths")
-    ab = cfg["ablate"]
-    for mu in ab["mu_values"]:
-        if int(mu) < 2 or int(mu) % 2:
-            raise ConfigError(f"ablate.mu_values must be even integers >= 2, got {mu}")
-    for s in ab["splitters"]:
-        make_splitter(s)
-    for w in ab["kernel_sizes"]:
-        if int(w) < 3 or int(w) % 2 == 0:
-            raise ConfigError(f"ablate.kernel_sizes must be odd integers >= 3, got {w}")
 
 
-def build_scene_spec(cfg: dict, kind: str | None = None, seed: int | None = None,
-                     count: int | None = None) -> SceneSpec:
+def build_scene_spec(cfg: dict) -> SceneSpec:
+    """The dataset section's scene recipe; "mixed" interleaves from its adjacent_rects spec."""
     ds = cfg["dataset"]
     intensities = ds["intensities"]
     return SceneSpec(
-        kind=kind if kind is not None else ds["kind"],
+        kind="adjacent_rects" if ds["kind"] == "mixed" else ds["kind"],
         height=int(ds["height"]),
         width=int(ds["width"]),
         classes=int(ds["classes"]),
         noise_sigma=float(ds["noise_sigma"]),
         intensities=None if intensities is None else tuple(float(v) for v in intensities),
-        count=int(count if count is not None else ds["count"]),
-        seed=int(seed if seed is not None else cfg["seed"]),
+        count=int(ds["count"]),
+        seed=int(cfg["seed"]),
         gap=int(ds["gap"]),
     )
 

@@ -14,6 +14,7 @@ datasets are reproducible and scene kinds sharing a seed stay independent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -50,13 +51,15 @@ class SceneSpec:
             raise ValueError("scenes need at least a 16x16 canvas")
         if self.count < 1:
             raise ValueError("count must be positive")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if not 1 <= self.gap <= 2:
             raise ValueError(f"background gap must be 1 or 2 pixels, got {self.gap}")
         levels = self.class_intensities()
         if levels.size != self.classes:
             raise ValueError(f"need {self.classes} intensities, got {levels.size}")
+        if not np.isfinite(levels).all():
+            raise ValueError(f"class intensities must be finite, got {self.intensities}")
         if self.noise_sigma > 0:
             gaps = np.abs(levels[:, None] - levels[None, :])
             min_gap = gaps[~np.eye(self.classes, dtype=bool)].min()

@@ -131,20 +131,6 @@ def _as_field(field) -> np.ndarray:
     return f
 
 
-def check_probability_field(field, normalized: bool = False, tol: float = 1e-6) -> np.ndarray:
-    """Validate a (K, H, W) field: finite, in [0, 1], optionally per-pixel sum 1."""
-    f = _as_field(field)
-    if not np.isfinite(f).all():
-        raise ValueError("probability field contains non-finite values")
-    if f.min() < -tol or f.max() > 1.0 + tol:
-        raise ValueError("probability field values must lie in [0, 1]")
-    if normalized:
-        sums = f.sum(axis=0)
-        if np.abs(sums - 1.0).max() > tol:
-            raise ValueError("per-pixel class probabilities must sum to 1")
-    return f
-
-
 def anisotropic_convolve(field, cfg: ACConfig) -> np.ndarray:
     """Convert a (K, H, W) field into (|S|, K, H, W) potential energies.
 

@@ -31,6 +31,7 @@ time, so the results are bit-identical to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,16 +88,18 @@ class LossConfig:
             raise ValueError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
         if not isinstance(self.mu_exp, int) or self.mu_exp < 2 or self.mu_exp % 2 != 0:
             raise ValueError(f"mu_exp must be an even integer >= 2, got {self.mu_exp!r}")
-        if self.lambda1 < 0 or self.lambda2 < 0:
-            raise ValueError("loss weights must be nonnegative")
+        for name in ("lambda1", "lambda2"):
+            weight = getattr(self, name)
+            if not (weight >= 0 and math.isfinite(weight)):
+                raise ValueError(f"{name} must be finite and >= 0, got {weight!r}")
 
 
 @dataclass
 class LossValue:
-    """A scalar loss and, when available, its gradient w.r.t. the predicted input."""
+    """A scalar loss and its gradient w.r.t. the predicted input."""
 
     value: float
-    gradient: np.ndarray | None = None
+    gradient: np.ndarray
 
 
 def _paired_energies(e_gt, e_pred) -> tuple[np.ndarray, np.ndarray]:

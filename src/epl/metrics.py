@@ -22,17 +22,31 @@ def _check_label_pair(pred, gt):
     return p, g
 
 
-def miou(pred_labels, gt_labels, num_classes: int) -> tuple[np.ndarray, float]:
-    """Per-class IoU (NaN for classes absent from both maps) and their mean."""
-    p, g = _check_label_pair(pred_labels, gt_labels)
+def _class_ious(p, g, num_classes: int) -> np.ndarray:
+    """IoU of each class of [0, num_classes) over the pixels given, NaN where both lack it.
+
+    A label outside that range would be scored by no class, so it is
+    rejected, naming the label.
+    """
+    for side, lab in (("prediction", p), ("ground truth", g)):
+        lo, hi = lab.min(), lab.max()
+        if lo < 0 or hi >= num_classes:
+            raise ValueError(f"{side} label {lo if lo < 0 else hi} lies outside "
+                             f"[0, {num_classes}): the class count must cover every label")
     ious = np.full(num_classes, np.nan)
     for c in range(num_classes):
         pc = p == c
         gc = g == c
         union = int(np.logical_or(pc, gc).sum())
-        if union == 0:
-            continue
-        ious[c] = float(np.logical_and(pc, gc).sum()) / union
+        if union:
+            ious[c] = float(np.logical_and(pc, gc).sum()) / union
+    return ious
+
+
+def miou(pred_labels, gt_labels, num_classes: int) -> tuple[np.ndarray, float]:
+    """Per-class IoU (NaN for classes absent from both maps) and their mean."""
+    p, g = _check_label_pair(pred_labels, gt_labels)
+    ious = _class_ious(p, g, num_classes)
     with np.errstate(invalid="ignore"):
         mean = float(np.nanmean(ious))
     return ious, mean
@@ -72,22 +86,16 @@ def boundary_band(gt_labels, width: int) -> np.ndarray:
 
 
 def trimap_iou(pred_labels, gt_labels, num_classes: int, width: int) -> float:
-    """mIoU restricted to the boundary band; NaN when the band is empty."""
+    """mIoU restricted to the boundary band; NaN when the band is empty.
+
+    Only the band is scored, so only its labels must lie in [0, num_classes).
+    """
     p, g = _check_label_pair(pred_labels, gt_labels)
     band = boundary_band(g, width)
     if not band.any():
         return float("nan")
-    pb = p[band]
-    gb = g[band]
-    ious = []
-    for c in range(num_classes):
-        pc = pb == c
-        gc = gb == c
-        union = int(np.logical_or(pc, gc).sum())
-        if union == 0:
-            continue
-        ious.append(float(np.logical_and(pc, gc).sum()) / union)
-    return float(np.mean(ious))
+    ious = _class_ious(p[band], g[band], num_classes)
+    return float(np.mean(ious[~np.isnan(ious)]))
 
 
 def boundary_fmeasure(pred_labels, gt_labels, tol: int) -> float:

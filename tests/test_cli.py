@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import json
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from epl import datagen, gradcheck, io, model
-from epl.cli import main
+from epl.cli import build_parser, main
 from epl.fields import one_hot, standard_convolve
 from epl.losses import LossConfig, equipotential_line_loss, point_loss
 from epl.config import ConfigError, DEFAULTS, build_train_config, load_config
@@ -73,6 +74,19 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    @pytest.mark.parametrize("patch", [
+        {"eval": {"trimap_widths": [1, float("inf")]}},
+        {"dataset": {"height": float("inf")}},
+        {"train": {"val_fraction": "0.2"}},
+        {"ablate": {"kernel_sizes": [5, float("inf")]}},
+        {"ablate": {"mu_values": []}},
+    ], ids=["inf-width", "inf-height", "string-val-fraction", "inf-kernel", "empty-sweep"])
+    def test_unusable_values_are_config_errors(self, tmp_path, patch):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(patch))
+        with pytest.raises(ConfigError):
+            load_config(path)
+
     def test_rejects_unknown_key(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"learning": {"rate": 1}}))
@@ -84,6 +98,98 @@ class TestConfig:
         path.write_text(json.dumps({"seed": 3}))
         cfg = load_config(path, {"seed": 9})
         assert cfg["seed"] == 9
+
+
+#: Every config flag of every command: (command, flag, config key, a value
+#: that differs from both DEFAULTS and TINY).
+CONFIG_FLAGS = [
+    ("gen", "--seed", "seed", 5),
+    ("gen", "--kind", "dataset.kind", "touching_disks"),
+    ("gen", "--count", "dataset.count", 3),
+    ("gen", "--classes", "dataset.classes", 2),
+    ("gen", "--noise-sigma", "dataset.noise_sigma", 0.05),
+    ("gen", "--height", "dataset.height", 20),
+    ("gen", "--width", "dataset.width", 18),
+    ("gen", "--gap", "dataset.gap", 2),
+    ("convert", "--seed", "seed", 5),
+    ("convert", "--kernel-size", "ac.kernel_size", 3),
+    ("convert", "--splitter", "ac.splitter", "B"),
+    ("loss", "--seed", "seed", 5),
+    ("gradcheck", "--seed", "seed", 5),
+    ("train", "--seed", "seed", 5),
+    ("train", "--epochs", "train.epochs", 2),
+    ("train", "--batch-size", "train.batch_size", 3),
+    ("train", "--learning-rate", "train.learning_rate", 0.04),
+    ("train", "--val-fraction", "train.val_fraction", 0.5),
+    ("train", "--lambda1", "loss.lambda1", 0.2),
+    ("train", "--lambda2", "loss.lambda2", 0.02),
+    ("train", "--mu-exp", "loss.mu_exp", 4),
+    ("train", "--norm", "loss.norm", "l1"),
+    ("train", "--kernel-size", "ac.kernel_size", 3),
+    ("train", "--splitter", "ac.splitter", "C"),
+    ("eval", "--seed", "seed", 5),
+    ("ablate", "--seed", "seed", 5),
+    ("ablate", "--count", "dataset.count", 4),
+    ("ablate", "--epochs", "train.epochs", 2),
+]
+
+
+def parser_flags():
+    """(command, flag) -> dest of every subcommand option."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {(command, flag): action.dest
+            for command, p in sub.choices.items()
+            for action in p._actions for flag in action.option_strings}
+
+
+def config_at(cfg: dict, key: str):
+    for part in key.split("."):
+        cfg = cfg[part]
+    return cfg
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """A tiny dataset, a checkpoint trained on it and a one-variant ablate config."""
+    root = tmp_path_factory.mktemp("flags")
+    (root / "config.json").write_text(json.dumps(TINY))
+    (root / "ablate.json").write_text(json.dumps({**TINY, "ablate": {"kernel_sizes": [5]}}))
+    assert run("gen", "--config", root / "config.json", "--out", root / "data") == 0
+    assert run("train", "--config", root / "config.json", "--data", root / "data",
+               "--out", root / "run") == 0
+    return root
+
+
+class TestFlagTable:
+    def test_every_config_flag_names_a_config_leaf(self):
+        flags = {k: dest for k, dest in parser_flags().items() if dest == "seed" or "." in dest}
+        assert flags == {(command, flag): key for command, flag, key, _ in CONFIG_FLAGS}
+        for key in flags.values():
+            assert not isinstance(config_at(DEFAULTS, key), dict), key
+
+    @pytest.mark.parametrize("command,flag,key,value", CONFIG_FLAGS,
+                             ids=[f"{c}{f}" for c, f, _, _ in CONFIG_FLAGS])
+    def test_each_config_flag_is_recorded(self, tmp_path, flag_inputs, command, flag, key, value):
+        data, out = flag_inputs / "data", tmp_path / "out"
+        argv = {
+            "gen": ("--config", flag_inputs / "config.json", "--out", out),
+            "convert": ("--labels", data / "sample_0000.pgm", "--out", out / "f.eplt"),
+            "loss": ("--data", data, "--checkpoint", flag_inputs / "run" / "checkpoint",
+                     "--out", out / "losses.json"),
+            "gradcheck": ("--loss", "point_l2", "--samples", 4, "--out", out / "g.json"),
+            "train": ("--config", flag_inputs / "config.json", "--data", data, "--out", out),
+            "eval": ("--pred", data, "--gt", data, "--out", out),
+            "ablate": ("--config", flag_inputs / "ablate.json", "--sweep", "kernel",
+                       "--out", out),
+        }[command]
+        assert run(command, *argv, flag, value) == 0
+        if command == "loss":
+            recorded = {"seed": json.loads((out / "losses.json").read_text())[0]["seed"]}
+        elif command == "gradcheck":
+            recorded = {"seed": json.loads((out / "g.json").read_text())["seed"]}
+        else:
+            recorded = json.loads((out / "config_echo.json").read_text())["config"]
+        assert config_at(recorded, key) == value
 
 
 class TestGen:
@@ -295,6 +401,46 @@ class TestErrorPaths:
         bad.write_text(json.dumps({"loss": {"mu_exp": 5}}))
         assert run("gen", "--config", bad, "--out", tmp_path / "x") == 2
         assert "mu_exp" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,flag,value,name", [
+        ("train", "--learning-rate", "nan", "learning_rate"),
+        ("train", "--learning-rate", "inf", "learning_rate"),
+        ("train", "--lambda1", "nan", "lambda1"),
+        ("train", "--lambda2", "inf", "lambda2"),
+        ("gen", "--noise-sigma", "nan", "noise_sigma"),
+    ])
+    def test_non_finite_setting_exits_2_before_any_work(self, tmp_path, tiny_config, capsys,
+                                                        command, flag, value, name):
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        where = ("--data", data) if command == "train" else ()
+        assert run(command, "--config", tiny_config, *where, "--out", out, flag, value) == 2
+        assert f"{name} must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("weight", [-0.5, float("nan")])
+    def test_a_bad_last_ablate_weight_exits_2_before_any_variant_trains(
+            self, tmp_path, capsys, monkeypatch, weight):
+        def no_training(*args, **kwargs):
+            raise AssertionError("a variant trained")
+
+        monkeypatch.setattr(model, "train", no_training)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**TINY, "ablate": {"weights": [0.1, 0.2, weight]}}))
+        out = tmp_path / "ablate"
+        assert run("ablate", "--config", path, "--sweep", "weight", "--out", out) == 2
+        assert f"lambda2 must be finite and >= 0, got {weight!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_eval_classes_below_a_label_exits_2(self, tmp_path, tiny_config, capsys):
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        out = tmp_path / "eval"
+        assert run("eval", "--pred", data, "--gt", data, "--out", out, "--classes", 2) == 2
+        assert "label 2 lies outside [0, 2)" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_labels_file(self, tmp_path, capsys):
         assert run("convert", "--labels", tmp_path / "none.pgm",

@@ -52,6 +52,16 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             spec(height=8)
 
+    @pytest.mark.parametrize("field,value", [
+        ("noise_sigma", float("nan")),
+        ("noise_sigma", float("inf")),
+        ("intensities", (0.0, float("nan"), 1.0)),
+        ("intensities", (0.0, 0.5, float("inf"))),
+    ])
+    def test_rejects_non_finite_values(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            spec(**{field: value})
+
 
 class TestGeneration:
     def test_noiseless_image_is_piecewise_constant(self):

@@ -61,6 +61,17 @@ class TestMiou:
         with pytest.raises(ValueError):
             miou(np.zeros((2, 2), int), np.zeros((3, 3), int), 2)
 
+    @pytest.mark.parametrize("side,label", [("prediction", 3), ("prediction", -1),
+                                            ("ground truth", 3), ("ground truth", -2)])
+    def test_label_outside_the_classes_raises(self, side, label):
+        lab = np.zeros((4, 4), dtype=int)
+        lab[:, 2:] = 1
+        bad = lab.copy()
+        bad[1, 1] = label
+        pred, gt = (bad, lab) if side == "prediction" else (lab, bad)
+        with pytest.raises(ValueError, match=rf"{side} label {label} lies outside \[0, 3\)"):
+            miou(pred, gt, 3)
+
 
 class TestBoundaryBand:
     def test_constant_map_has_no_band(self):
@@ -103,6 +114,16 @@ class TestTrimapIou:
         lab = np.zeros((6, 6), dtype=int)
         lab[:, 3:] = 1
         assert trimap_iou(lab, lab, 2, 1) == 1.0
+
+    @pytest.mark.parametrize("side", ["prediction", "ground truth"])
+    def test_label_outside_the_classes_raises(self, side):
+        lab = np.zeros((6, 6), dtype=int)
+        lab[:, 3:] = 1
+        bad = lab.copy()
+        bad[2, 3] = 2  # beside the transition, so inside the band
+        pred, gt = (bad, lab) if side == "prediction" else (lab, bad)
+        with pytest.raises(ValueError, match=rf"{side} label 2 lies outside \[0, 2\)"):
+            trimap_iou(pred, gt, 2, 1)
 
     def test_empty_band_is_not_applicable(self):
         lab = np.zeros((6, 6), dtype=int)
