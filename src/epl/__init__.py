@@ -10,7 +10,7 @@ F-measure), a synthetic boundary-stress dataset generator, a tiny
 trainable network, and a CLI for reproducible experiments.
 """
 
-from .datagen import Sample, SceneSpec, generate_dataset, generate_mixed_dataset, read_sample, write_sample
+from .datagen import Sample, SceneSpec, generate_dataset, read_sample, write_sample
 from .fields import (
     ACConfig,
     Splitter,
@@ -66,7 +66,6 @@ __all__ = [
     "evaluate_pair",
     "finite_diff_gradient",
     "generate_dataset",
-    "generate_mixed_dataset",
     "line_target",
     "make_splitter",
     "miou",

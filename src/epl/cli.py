@@ -4,10 +4,11 @@ Subcommands: gen, convert, loss, gradcheck, train, eval, ablate.  Every
 command resolves one JSON config (defaults <- --config file <- flags) and
 writes a config echo next to its outputs, so a result directory always
 records how it was produced.  A flag that sets a config key has that key's
-dotted path as its argparse dest (--kernel-size is "ac.kernel_size"), so
-one reader turns the given flags plus --seed into the override of every
-command, convert and eval included.  Exit status is nonzero on validation
-or numerical failure.
+dotted path as its argparse dest (--kernel-size is "ac.kernel_size",
+--ablate sc is "ac.converter"), so one reader turns the given flags plus
+--seed into the override of every command, convert and eval included;
+train's --epl off adds zero potential-loss weights to it.  Exit status is
+nonzero on validation or numerical failure.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import datagen, gradcheck, io, metrics, model
-from .fields import SPLITTER_KINDS, anisotropic_convolve, one_hot
+from .fields import SPLITTER_KINDS, one_hot
 from .losses import NORMS, dice_loss
 
 
@@ -41,7 +42,10 @@ def _echo_config(out_dir, command: str, cfg: dict, extra: dict | None = None) ->
 
 
 def _flag_overrides(args) -> dict:
-    """The nested config override of the given flags: --seed and every dotted dest."""
+    """The nested config override of the given flags: --seed, every dotted dest, --epl off.
+
+    --epl off zeroes both potential-loss weights, over --lambda1/--lambda2.
+    """
     overrides: dict = {}
     for dest, value in vars(args).items():
         if value is None or not (dest == "seed" or "." in dest):
@@ -51,19 +55,15 @@ def _flag_overrides(args) -> dict:
         for section in sections:
             node = node.setdefault(section, {})
         node[key] = value
+    if getattr(args, "epl", None) == "off":
+        overrides.setdefault("loss", {}).update(lambda1=0.0, lambda2=0.0)
     return overrides
 
 
-def _generate(cfg: dict) -> tuple[datagen.SceneSpec, list[datagen.Sample]]:
-    spec = config_mod.build_scene_spec(cfg)
-    if cfg["dataset"]["kind"] == "mixed":
-        return spec, datagen.generate_mixed_dataset(spec)
-    return spec, datagen.generate_dataset(spec)
-
-
 def cmd_gen(args, cfg: dict) -> int:
-    spec, samples = _generate(cfg)
-    datagen.write_dataset(args.out, samples, spec, extra={"kind": cfg["dataset"]["kind"]})
+    spec = config_mod.build_scene_spec(cfg)
+    samples = datagen.generate_dataset(spec)
+    datagen.write_dataset(args.out, samples, spec)
     _echo_config(args.out, "gen", cfg)
     print(f"wrote {len(samples)} samples to {args.out}")
     return 0
@@ -72,15 +72,16 @@ def cmd_gen(args, cfg: dict) -> int:
 def cmd_convert(args, cfg: dict) -> int:
     labels = io.read_pgm(args.labels)
     num_classes = args.classes if args.classes is not None else int(labels.max()) + 1
-    ac_cfg = config_mod.build_train_config(cfg).ac
-    energies = anisotropic_convolve(one_hot(labels, num_classes), ac_cfg)
+    train_cfg = config_mod.build_train_config(cfg)
+    energies = model.convert(one_hot(labels, num_classes), train_cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     io.write_tensor(out, energies)
     if args.render is not None:
         render_dir = Path(args.render)
         render_dir.mkdir(parents=True, exist_ok=True)
-        scale = 255.0 / (ac_cfg.radius + 1)
+        ac = train_cfg.ac  # a binary plane's largest energy: a whole ray, or the whole box
+        scale = 255.0 / (ac.radius + 1 if ac.converter == "ac" else ac.kernel_size ** 2)
         for si in range(energies.shape[0]):
             for ci in range(energies.shape[1]):
                 plane = np.rint(energies[si, ci] * scale).astype(np.int32)
@@ -102,21 +103,14 @@ def _split_train_val(samples: list, val_fraction: float):
 def cmd_train(args, cfg: dict) -> int:
     samples, _manifest = datagen.read_dataset(args.data)
     train_set, val_set = _split_train_val(samples, cfg["train"]["val_fraction"])
-    train_cfg = config_mod.build_train_config(
-        cfg,
-        epl=args.epl != "off",
-        converter="sc" if args.ablate == "sc" else "ac",
-    )
+    train_cfg = config_mod.build_train_config(cfg)
     net, history = model.train(train_set, train_cfg, eval_dataset=val_set or None)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_history(out, history)
-    model.save_checkpoint(out / "checkpoint", net,
-                          {"converter": train_cfg.converter, **config_mod.train_sections(train_cfg)})
+    model.save_checkpoint(out / "checkpoint", net, config_mod.train_sections(train_cfg))
     _echo_config(out, "train", cfg, {
         "data": str(args.data),
-        "epl": args.epl,
-        "ablate": args.ablate,
         "train_samples": len(train_set),
         "val_samples": len(val_set),
     })
@@ -139,13 +133,13 @@ def _write_history(out_dir: Path, history: list[dict]) -> None:
 
 def _checkpoint_train_config(stem, sidecar: dict) -> model.TrainConfig:
     """The training config recorded in a checkpoint's sidecar."""
-    recorded = sidecar.get("config", {})
     try:
-        return config_mod.build_train_config(recorded, converter=recorded["converter"])
+        return config_mod.build_train_config(sidecar.get("config", {}))
     except (KeyError, TypeError) as exc:
         raise io.FormatError(
-            f"{stem}: sidecar config lacks {exc}: it must hold the converter and the seed, "
-            f"ac, loss and train sections; a checkpoint with a flat config must be retrained"
+            f"{stem}: sidecar config lacks {exc}: it must hold the seed, ac (converter "
+            f"included), loss and train sections; a checkpoint with a flat config must be "
+            f"retrained, as must one with its converter outside ac"
         ) from None
 
 
@@ -166,10 +160,10 @@ def cmd_loss(args, cfg: dict) -> int:
         sums["dice"] += dice_loss(probs, one_hot(s.labels, net.num_classes)).value
         sums["combined"] += terms["total"]
     n = len(samples)
-    used = {"converter": train_cfg.converter, "kernel_size": train_cfg.ac.kernel_size,
+    used = {"converter": train_cfg.ac.converter, "kernel_size": train_cfg.ac.kernel_size,
             "splitter": train_cfg.ac.splitter.kind, **asdict(train_cfg.loss)}
     records = [
-        {"loss_name": name, "value": total / n, "config": used, "seed": cfg["seed"]}
+        {"loss_name": name, "value": total / n, "config": used, "seed": train_cfg.seed}
         for name, total in sums.items()
     ]
     if args.out:
@@ -196,8 +190,7 @@ def cmd_gradcheck(args, cfg: dict) -> int:
 
 
 def cmd_eval(args, cfg: dict) -> int:
-    widths = [int(w) for w in cfg["eval"]["trimap_widths"]]
-    tols = [int(t) for t in cfg["eval"]["f_tolerances"]]
+    widths, tols = cfg["eval"]["trimap_widths"], cfg["eval"]["f_tolerances"]
     gt_dir = Path(args.gt)
     pred_dir = Path(args.pred)
     gt_files = sorted(gt_dir.glob("*.pgm"))
@@ -261,7 +254,7 @@ ABLATE_COLUMNS = ("loss_ce", "loss_point", "loss_line", "miou", "trimap_iou", "f
 
 
 def cmd_ablate(args, cfg: dict) -> int:
-    _spec, samples = _generate(cfg)
+    samples = datagen.generate_dataset(config_mod.build_scene_spec(cfg))
     train_set, val_set = _split_train_val(samples, cfg["train"]["val_fraction"])
     section, name, values, kind = SWEEPS[args.sweep]
     rows = []
@@ -296,9 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", type=str, default=None, help="JSON config file")
-        p.add_argument("--seed", type=int, default=None, help="top-level seed override")
+        if seed:
+            p.add_argument("--seed", type=int, default=None, help="top-level seed override")
 
     def key_flag(p, flag, key, **kwargs):
         """A flag that sets the config key at dotted path `key`, its dest."""
@@ -313,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     common(p)
     p.add_argument("--out", required=True)
-    key_flag(p, "--kind", "dataset.kind", choices=config_mod.DATASET_KINDS)
+    key_flag(p, "--kind", "dataset.kind", choices=datagen.SCENE_KINDS)
     key_flag(p, "--count", "dataset.count", type=int)
     key_flag(p, "--classes", "dataset.classes", type=int)
     key_flag(p, "--noise-sigma", "dataset.noise_sigma", type=float)
@@ -333,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("loss", help="report losses of a checkpoint on a dataset")
-    common(p)
+    common(p, seed=False)  # the checkpoint's config holds the seed
     p.add_argument("--data", required=True)
     p.add_argument("--checkpoint", required=True, help="checkpoint stem (no extension)")
     p.add_argument("--out", type=str, default=None)
@@ -352,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--epl", choices=("on", "off"), default="on",
-                   help="off trains with cross-entropy only")
-    p.add_argument("--ablate", choices=("sc",), default=None,
-                   help="sc swaps the directional conversion for a plain box filter")
+                   help="off trains with cross-entropy only: loss.lambda1 = loss.lambda2 = 0")
+    key_flag(p, "--ablate", "ac.converter", choices=("sc",),
+             help="sc swaps the directional conversion for a plain box filter")
     key_flag(p, "--epochs", "train.epochs", type=int)
     key_flag(p, "--batch-size", "train.batch_size", type=int)
     key_flag(p, "--learning-rate", "train.learning_rate", type=float)

@@ -1,11 +1,12 @@
 """Experiment configuration: one JSON document with defaults and validation.
 
-Sections: dataset (scene recipe), ac (conversion kernel), loss, train,
-eval, ablate.  Command-line flags override file values, and everything has
-a default, so a bare command is already a runnable experiment.  The ac,
-loss and train defaults are those of ACConfig, LossConfig and TrainConfig,
-so there is one set of them.  A single top-level seed feeds every
-component (see seeding.py for the streams).
+Sections: dataset (scene recipe), ac (conversion kernel and converter),
+loss, train, eval, ablate.  Command-line flags override file values, and
+everything has a default, so a bare command is already a runnable
+experiment.  The dataset, ac, loss and train defaults are those of
+SceneSpec, ACConfig, LossConfig and TrainConfig, so there is one set of
+them, and each value is checked by the dataclass that uses it.  A single
+top-level seed feeds every component (see seeding.py for the streams).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import model
-from .datagen import SCENE_KINDS, SceneSpec
+from .datagen import SceneSpec
 from .fields import ACConfig, make_splitter
 from .losses import LossConfig
 
@@ -29,7 +30,8 @@ def train_sections(cfg: model.TrainConfig) -> dict:
     """The seed, ac, loss and train sections of a config that build_train_config reads back."""
     return {
         "seed": cfg.seed,
-        "ac": {"kernel_size": cfg.ac.kernel_size, "splitter": cfg.ac.splitter.kind},
+        "ac": {"kernel_size": cfg.ac.kernel_size, "splitter": cfg.ac.splitter.kind,
+               "converter": cfg.ac.converter},
         "loss": asdict(cfg.loss),
         "train": {key: getattr(cfg, key)
                   for key in ("epochs", "batch_size", "learning_rate", "momentum")},
@@ -40,16 +42,7 @@ _TRAIN_DEFAULTS = train_sections(model.TrainConfig())
 
 DEFAULTS: dict = {
     "seed": _TRAIN_DEFAULTS["seed"],
-    "dataset": {
-        "kind": "mixed",  # mixed = adjacent_rects and touching_disks interleaved
-        "height": 64,
-        "width": 64,
-        "classes": 3,
-        "noise_sigma": 0.16,
-        "intensities": None,
-        "count": 200,
-        "gap": 1,
-    },
+    "dataset": {k: v for k, v in SceneSpec().to_json().items() if k != "seed"},
     "ac": _TRAIN_DEFAULTS["ac"],
     "loss": _TRAIN_DEFAULTS["loss"],
     "train": {**_TRAIN_DEFAULTS["train"], "val_fraction": 0.2},
@@ -61,8 +54,6 @@ DEFAULTS: dict = {
         "kernel_sizes": [5, 7, 9],
     },
 }
-
-DATASET_KINDS = SCENE_KINDS + ("mixed",)
 
 
 def merge(base: dict, override: dict, path: str = "") -> dict:
@@ -101,10 +92,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 #: Each ablate list's entry check: build what its variant will, so a bad entry
 #: fails before any variant trains.
 _ABLATE_CHECKS = {
-    "mu_values": lambda v: LossConfig(mu_exp=int(v)),
+    "mu_values": lambda v: LossConfig(mu_exp=v),
     "weights": lambda v: LossConfig(lambda2=float(v)),
     "splitters": make_splitter,
-    "kernel_sizes": lambda v: ACConfig(kernel_size=int(v)),
+    "kernel_sizes": lambda v: ACConfig(kernel_size=v),
 }
 
 
@@ -112,8 +103,6 @@ def validate_config(cfg: dict) -> None:
     """Reject invalid values early, each by the object that owns its rule."""
     ds, tr, ev, ab = cfg["dataset"], cfg["train"], cfg["eval"], cfg["ablate"]
     try:
-        if ds["kind"] not in DATASET_KINDS:
-            raise ValueError(f"dataset.kind must be one of {DATASET_KINDS}, got {ds['kind']!r}")
         build_scene_spec(cfg)
         build_train_config(cfg)
         for key, check in _ABLATE_CHECKS.items():
@@ -127,50 +116,44 @@ def validate_config(cfg: dict) -> None:
         if not 0.0 <= tr["val_fraction"] < 1.0:
             raise ValueError(f"train.val_fraction must lie in [0, 1), got {tr['val_fraction']!r}")
         for name, least in (("trimap_widths", 1), ("f_tolerances", 0)):
-            if not ev[name] or any(int(v) < least for v in ev[name]):
+            if not ev[name] or any(not isinstance(v, int) or v < least for v in ev[name]):
                 raise ValueError(f"eval.{name} must be a nonempty list of integers >= {least}")
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_scene_spec(cfg: dict) -> SceneSpec:
-    """The dataset section's scene recipe; "mixed" interleaves from its adjacent_rects spec."""
+    """The dataset section and the seed as a scene recipe."""
     ds = cfg["dataset"]
     intensities = ds["intensities"]
-    return SceneSpec(
-        kind="adjacent_rects" if ds["kind"] == "mixed" else ds["kind"],
-        height=int(ds["height"]),
-        width=int(ds["width"]),
-        classes=int(ds["classes"]),
-        noise_sigma=float(ds["noise_sigma"]),
-        intensities=None if intensities is None else tuple(float(v) for v in intensities),
-        count=int(ds["count"]),
-        seed=int(cfg["seed"]),
-        gap=int(ds["gap"]),
-    )
+    return SceneSpec(**{
+        **ds,
+        "noise_sigma": float(ds["noise_sigma"]),
+        "intensities": None if intensities is None else tuple(float(v) for v in intensities),
+        "seed": cfg["seed"],
+    })
 
 
-def build_train_config(cfg: dict, epl: bool = True, converter: str = "ac") -> model.TrainConfig:
+def build_train_config(cfg: dict) -> model.TrainConfig:
     """The one reader of a training config: the seed, ac, loss and train sections.
 
     `epl train` and `epl ablate` pass the resolved experiment config, `epl
-    loss` the config a checkpoint recorded (train_sections plus the
-    converter).  epl=False zeroes both potential-loss weights.
+    loss` the config a checkpoint recorded (train_sections).
     """
     ac, ls, tr = cfg["ac"], cfg["loss"], cfg["train"]
     return model.TrainConfig(
-        epochs=int(tr["epochs"]),
-        batch_size=int(tr["batch_size"]),
+        epochs=tr["epochs"],
+        batch_size=tr["batch_size"],
         learning_rate=float(tr["learning_rate"]),
         momentum=float(tr["momentum"]),
-        seed=int(cfg["seed"]),
+        seed=cfg["seed"],
         loss=LossConfig(
             norm=str(ls["norm"]),
             reduction=str(ls["reduction"]),
-            mu_exp=int(ls["mu_exp"]),
-            lambda1=float(ls["lambda1"]) if epl else 0.0,
-            lambda2=float(ls["lambda2"]) if epl else 0.0,
+            mu_exp=ls["mu_exp"],
+            lambda1=float(ls["lambda1"]),
+            lambda2=float(ls["lambda2"]),
         ),
-        ac=ACConfig(kernel_size=int(ac["kernel_size"]), splitter=make_splitter(ac["splitter"])),
-        converter=converter,
+        ac=ACConfig(kernel_size=ac["kernel_size"], splitter=make_splitter(ac["splitter"]),
+                    converter=ac["converter"]),
     )

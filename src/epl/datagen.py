@@ -4,11 +4,14 @@ Three scene kinds: ``adjacent_rects`` chains different-class rectangles
 sharing full edges (hard transitions between categories),
 ``touching_disks`` places same-class disk pairs separated by a thin
 background gap (separate instances of one category almost merging), and
-``random_polygons`` scatters random triangles.  Images are single-channel:
-the class base intensity plus optional Gaussian noise.
+``random_polygons`` scatters random triangles.  A fourth dataset kind,
+``mixed``, interleaves the first two.  Images are single-channel: the class
+base intensity plus optional Gaussian noise.
 
 Sample i of a dataset draws from the stream (seed, DATASET, kind, i), so
 datasets are reproducible and scene kinds sharing a seed stay independent.
+Sample i of a mixed dataset is sample i // 2 of the rectangle stream for
+even i and of the disk stream for odd i.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ import numpy as np
 from . import io, seeding
 from .metrics import chebyshev_dilate
 
-SCENE_KINDS = ("adjacent_rects", "touching_disks", "random_polygons")
+# A kind's index is its stream code, so new kinds go at the end.
+SCENE_KINDS = ("adjacent_rects", "touching_disks", "random_polygons", "mixed")
+_MIXED_KINDS = ("adjacent_rects", "touching_disks")
 
 _PLACEMENT_ATTEMPTS = 500
 
@@ -32,11 +37,11 @@ _PLACEMENT_ATTEMPTS = 500
 class SceneSpec:
     """Scene recipe; `intensities` defaults to an even spread over [0, 1]."""
 
-    kind: str
+    kind: str = "mixed"
     height: int = 64
     width: int = 64
     classes: int = 3
-    noise_sigma: float = 0.1
+    noise_sigma: float = 0.16
     intensities: tuple[float, ...] | None = None
     count: int = 200
     seed: int = 0
@@ -45,6 +50,9 @@ class SceneSpec:
     def __post_init__(self) -> None:
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}, expected one of {SCENE_KINDS}")
+        for name in ("height", "width", "classes", "count", "gap", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.classes < 2:
             raise ValueError(f"need at least background + one class, got classes={self.classes}")
         if self.height < 16 or self.width < 16:
@@ -227,9 +235,11 @@ _SCENES = {
 
 def generate_sample(spec: SceneSpec, index: int) -> Sample:
     """Deterministically generate sample `index` of the dataset."""
-    kind_code = SCENE_KINDS.index(spec.kind)
-    rng = seeding.stream(spec.seed, seeding.STREAM_DATASET, kind_code, index)
-    labels = _SCENES[spec.kind](spec, rng)
+    kind = spec.kind
+    if kind == "mixed":
+        kind, index = _MIXED_KINDS[index % 2], index // 2
+    rng = seeding.stream(spec.seed, seeding.STREAM_DATASET, SCENE_KINDS.index(kind), index)
+    labels = _SCENES[kind](spec, rng)
     image = spec.class_intensities()[labels]
     if spec.noise_sigma > 0:
         image = image + rng.normal(0.0, spec.noise_sigma, labels.shape)
@@ -239,16 +249,6 @@ def generate_sample(spec: SceneSpec, index: int) -> Sample:
 def generate_dataset(spec: SceneSpec) -> list[Sample]:
     """All `spec.count` samples, reproducible from the spec alone."""
     return [generate_sample(spec, i) for i in range(spec.count)]
-
-
-def generate_mixed_dataset(spec: SceneSpec, kinds=("adjacent_rects", "touching_disks")) -> list[Sample]:
-    """Interleave one sample stream per kind, keeping the total count."""
-    samples = []
-    specs = [SceneSpec(**{**spec.to_json(), "kind": k}) for k in kinds]
-    for i in range(spec.count):
-        sub = specs[i % len(specs)]
-        samples.append(generate_sample(sub, i // len(specs)))
-    return samples
 
 
 def write_sample(stem, sample: Sample) -> None:
@@ -269,7 +269,7 @@ def read_sample(stem) -> Sample:
     return Sample(image=image, labels=labels)
 
 
-def write_dataset(out_dir, samples: list[Sample], spec: SceneSpec, extra: dict | None = None) -> Path:
+def write_dataset(out_dir, samples: list[Sample], spec: SceneSpec) -> Path:
     """Write samples plus a manifest.json listing them; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -279,8 +279,6 @@ def write_dataset(out_dir, samples: list[Sample], spec: SceneSpec, extra: dict |
         write_sample(out / stem, sample)
         stems.append(stem)
     manifest = {"scene": spec.to_json(), "samples": stems}
-    if extra:
-        manifest.update(extra)
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path

@@ -59,15 +59,23 @@ def make_splitter(kind: str) -> Splitter:
 
 @dataclass(frozen=True)
 class ACConfig:
-    """Anisotropic-convolution settings: an odd box size and a splitter."""
+    """Conversion settings: an odd box size, a splitter and the converter.
+
+    converter "ac" keeps the splitter's rays of the box (anisotropic_convolve);
+    "sc" is the ablation that drops the ray mask and sums the whole box
+    (standard_convolve), so it has one energy plane per class.
+    """
 
     kernel_size: int = 7
     splitter: Splitter = make_splitter("A")
+    converter: str = "ac"
 
     def __post_init__(self) -> None:
         w = self.kernel_size
         if not isinstance(w, int) or w < 3 or w % 2 == 0:
             raise ValueError(f"kernel_size must be an odd integer >= 3, got {w!r}")
+        if self.converter not in ("ac", "sc"):
+            raise ValueError(f"converter must be 'ac' or 'sc', got {self.converter!r}")
 
     @property
     def radius(self) -> int:

@@ -53,7 +53,6 @@ from .losses import (
 
 HIDDEN = 8
 ARCHITECTURE = "conv3x3-relu-conv3x3-relu-conv1x1-softmax"
-CONVERTERS = ("ac", "sc")
 
 #: Metric settings recorded in the per-epoch history.
 HISTORY_TRIMAP_WIDTH = 3
@@ -68,7 +67,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training run: optimizer settings, the loss and conversion settings, the converter."""
+    """One training run: optimizer settings and the loss and conversion settings."""
 
     epochs: int = 5
     batch_size: int = 8
@@ -77,17 +76,17 @@ class TrainConfig:
     seed: int = 0
     loss: LossConfig = LossConfig()
     ac: ACConfig = ACConfig()
-    converter: str = "ac"
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "seed"):
+            if not isinstance(getattr(self, name), int):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must lie in [0, 1)")
-        if self.converter not in CONVERTERS:
-            raise ValueError(f"converter must be one of {CONVERTERS}, got {self.converter!r}")
 
 
 class _Workspace:
@@ -294,14 +293,14 @@ class TinyNet:
 
 
 def convert(field: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """Potential energies (|S|, K, H, W) of a (K, H, W) field under cfg's converter."""
-    if cfg.converter == "sc":
+    """Potential energies (|S|, K, H, W) of a (K, H, W) field; |S| = 1 for the "sc" converter."""
+    if cfg.ac.converter == "sc":
         return standard_convolve(field, cfg.ac.kernel_size)[None]
     return anisotropic_convolve(field, cfg.ac)
 
 
 def _convert_adjoint(energy_grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    if cfg.converter == "sc":
+    if cfg.ac.converter == "sc":
         # The box kernel is symmetric, so the box sum is its own adjoint.
         return standard_convolve(energy_grad[0], cfg.ac.kernel_size)
     return ac_adjoint(energy_grad, cfg.ac)

@@ -238,16 +238,16 @@ LEARNING_RATE = 0.06
 
 
 def _desk_run(seed, lambda1, lambda2, converter):
-    spec = datagen.SceneSpec(kind="adjacent_rects", height=64, width=64, classes=3,
+    spec = datagen.SceneSpec(kind="mixed", height=64, width=64, classes=3,
                              noise_sigma=SIGMA, count=200, seed=seed)
-    samples = datagen.generate_mixed_dataset(spec)
+    samples = datagen.generate_dataset(spec)
     val = samples[::5]
     train = [s for i, s in enumerate(samples) if i % 5 != 0]
     cfg = model.TrainConfig(epochs=EPOCHS, batch_size=8, learning_rate=LEARNING_RATE,
                             seed=seed,
                             loss=LossConfig(lambda1=lambda1, lambda2=lambda2, mu_exp=10, norm="l2"),
-                            ac=ACConfig(kernel_size=7, splitter=make_splitter("A")),
-                            converter=converter)
+                            ac=ACConfig(kernel_size=7, splitter=make_splitter("A"),
+                                        converter=converter))
     start = time.perf_counter()
     _net, history = model.train(train, cfg, eval_dataset=val)
     elapsed = time.perf_counter() - start

@@ -4,13 +4,14 @@ import hashlib
 import json
 
 import numpy as np
+import numpy.testing as npt
 import pytest
 
 from epl import datagen, gradcheck, io, model
 from epl.cli import build_parser, main
-from epl.fields import one_hot, standard_convolve
+from epl.fields import ACConfig, make_splitter, one_hot, standard_convolve
 from epl.losses import LossConfig, equipotential_line_loss, point_loss
-from epl.config import ConfigError, DEFAULTS, build_train_config, load_config
+from epl.config import ConfigError, DEFAULTS, build_train_config, load_config, train_sections
 
 MISSING = object()  # a sidecar field that is dropped, not set
 
@@ -56,6 +57,16 @@ class TestConfig:
     def test_defaults_build_the_default_train_config(self):
         assert build_train_config(load_config()) == model.TrainConfig()
 
+    @pytest.mark.parametrize("converter", ["ac", "sc"])
+    @pytest.mark.parametrize("splitter", ["A", "B", "C"])
+    @pytest.mark.parametrize("weights", [(0.3, 0.02), (0.0, 0.0)])
+    def test_train_sections_round_trip(self, converter, splitter, weights):
+        cfg = model.TrainConfig(
+            epochs=3, batch_size=2, learning_rate=0.04, momentum=0.5, seed=7,
+            loss=LossConfig(norm="l1", mu_exp=4, lambda1=weights[0], lambda2=weights[1]),
+            ac=ACConfig(kernel_size=9, splitter=make_splitter(splitter), converter=converter))
+        assert build_train_config(train_sections(cfg)) == cfg
+
     def test_rejects_odd_mu(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"loss": {"mu_exp": 3}}))
@@ -80,7 +91,12 @@ class TestConfig:
         {"train": {"val_fraction": "0.2"}},
         {"ablate": {"kernel_sizes": [5, float("inf")]}},
         {"ablate": {"mu_values": []}},
-    ], ids=["inf-width", "inf-height", "string-val-fraction", "inf-kernel", "empty-sweep"])
+        {"dataset": {"count": 6.9}},
+        {"train": {"epochs": 2.5}},
+        {"ablate": {"mu_values": [2.5]}},
+        {"eval": {"trimap_widths": [1.5]}},
+    ], ids=["inf-width", "inf-height", "string-val-fraction", "inf-kernel", "empty-sweep",
+            "float-count", "float-epochs", "float-mu", "float-width"])
     def test_unusable_values_are_config_errors(self, tmp_path, patch):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(patch))
@@ -114,7 +130,6 @@ CONFIG_FLAGS = [
     ("convert", "--seed", "seed", 5),
     ("convert", "--kernel-size", "ac.kernel_size", 3),
     ("convert", "--splitter", "ac.splitter", "B"),
-    ("loss", "--seed", "seed", 5),
     ("gradcheck", "--seed", "seed", 5),
     ("train", "--seed", "seed", 5),
     ("train", "--epochs", "train.epochs", 2),
@@ -127,6 +142,7 @@ CONFIG_FLAGS = [
     ("train", "--norm", "loss.norm", "l1"),
     ("train", "--kernel-size", "ac.kernel_size", 3),
     ("train", "--splitter", "ac.splitter", "C"),
+    ("train", "--ablate", "ac.converter", "sc"),
     ("eval", "--seed", "seed", 5),
     ("ablate", "--seed", "seed", 5),
     ("ablate", "--count", "dataset.count", 4),
@@ -150,13 +166,11 @@ def config_at(cfg: dict, key: str):
 
 @pytest.fixture(scope="module")
 def flag_inputs(tmp_path_factory):
-    """A tiny dataset, a checkpoint trained on it and a one-variant ablate config."""
+    """A tiny dataset and a one-variant ablate config."""
     root = tmp_path_factory.mktemp("flags")
     (root / "config.json").write_text(json.dumps(TINY))
     (root / "ablate.json").write_text(json.dumps({**TINY, "ablate": {"kernel_sizes": [5]}}))
     assert run("gen", "--config", root / "config.json", "--out", root / "data") == 0
-    assert run("train", "--config", root / "config.json", "--data", root / "data",
-               "--out", root / "run") == 0
     return root
 
 
@@ -174,8 +188,6 @@ class TestFlagTable:
         argv = {
             "gen": ("--config", flag_inputs / "config.json", "--out", out),
             "convert": ("--labels", data / "sample_0000.pgm", "--out", out / "f.eplt"),
-            "loss": ("--data", data, "--checkpoint", flag_inputs / "run" / "checkpoint",
-                     "--out", out / "losses.json"),
             "gradcheck": ("--loss", "point_l2", "--samples", 4, "--out", out / "g.json"),
             "train": ("--config", flag_inputs / "config.json", "--data", data, "--out", out),
             "eval": ("--pred", data, "--gt", data, "--out", out),
@@ -183,9 +195,7 @@ class TestFlagTable:
                        "--out", out),
         }[command]
         assert run(command, *argv, flag, value) == 0
-        if command == "loss":
-            recorded = {"seed": json.loads((out / "losses.json").read_text())[0]["seed"]}
-        elif command == "gradcheck":
+        if command == "gradcheck":
             recorded = {"seed": json.loads((out / "g.json").read_text())["seed"]}
         else:
             recorded = json.loads((out / "config_echo.json").read_text())["config"]
@@ -235,6 +245,25 @@ class TestConvert:
         assert run("convert", "--labels", tmp_path / "m.pgm", "--out", out,
                    "--splitter", "C") == 0
         assert io.read_tensor(out).shape[0] == 8
+
+    def test_sc_converter_writes_box_sums(self, tmp_path):
+        lab = np.zeros((9, 9), dtype=int)
+        lab[2:6, 3:8] = 1
+        lab[6:, :4] = 2
+        io.write_pgm(tmp_path / "m.pgm", lab)
+        config = tmp_path / "sc.json"
+        config.write_text(json.dumps({"ac": {"converter": "sc"}}))
+        out = tmp_path / "f.eplt"
+        assert run("convert", "--config", config, "--labels", tmp_path / "m.pgm", "--out", out,
+                   "--kernel-size", 5, "--render", tmp_path / "render") == 0
+        energies = io.read_tensor(out)
+        expected = standard_convolve(one_hot(lab, 3), 5)[None]
+        assert energies.shape == (1, 3, 9, 9)
+        npt.assert_array_equal(energies, expected)
+        for ci in range(3):
+            plane = io.read_pgm(tmp_path / "render" / f"dir0_class{ci}.pgm")
+            npt.assert_array_equal(plane, np.rint(expected[0, ci] * 255.0 / 25))
+        assert len(list((tmp_path / "render").glob("*.pgm"))) == 3
 
 
 class TestTrainLossEval:
@@ -307,15 +336,14 @@ class TestTrainLossEval:
                        "--seed", 4, *flags) == 0
             recorded = json.loads((out / "checkpoint.json").read_text())["config"]
             assert recorded == {
-                "converter": converter,
                 "seed": 4,
-                "ac": {"kernel_size": 5, "splitter": "A"},
+                "ac": {"kernel_size": 5, "splitter": "A", "converter": converter},
                 "loss": {"norm": "l2", "reduction": "mean", "mu_exp": 10,
                          "lambda1": weights[0], "lambda2": weights[1]},
                 "train": {"epochs": 1, "batch_size": 4, "learning_rate": 0.05, "momentum": 0.9},
             }
-            cfg = build_train_config(recorded, converter=converter)
-            assert (cfg.converter, cfg.seed, cfg.ac.kernel_size) == (converter, 4, 5)
+            cfg = build_train_config(recorded)
+            assert (cfg.ac.converter, cfg.seed, cfg.ac.kernel_size) == (converter, 4, 5)
             assert (cfg.loss.lambda1, cfg.loss.lambda2) == weights
 
     def test_loss_of_a_zero_weight_checkpoint(self, tmp_path, tiny_config):
@@ -335,14 +363,29 @@ class TestTrainLossEval:
         history = json.loads((out / "history.json").read_text())
         assert history[-1]["loss_point"] == history[-1]["loss_line"] == 0.0
 
-    def test_sc_ablation_flag(self, tmp_path, tiny_config):
+    def test_loss_records_the_checkpoint_seed(self, tmp_path, tiny_config):
         data = tmp_path / "data"
         assert run("gen", "--config", tiny_config, "--out", data) == 0
-        out = tmp_path / "run_sc"
-        assert run("train", "--config", tiny_config, "--data", data,
-                   "--out", out, "--ablate", "sc") == 0
-        echo = json.loads((out / "config_echo.json").read_text())
-        assert echo["ablate"] == "sc"
+        out = tmp_path / "run"
+        assert run("train", "--config", tiny_config, "--data", data, "--out", out,
+                   "--seed", 4) == 0
+        report = tmp_path / "losses.json"
+        assert run("loss", "--data", data, "--checkpoint", out / "checkpoint",
+                   "--out", report) == 0
+        assert {r["seed"] for r in json.loads(report.read_text())} == {4}
+
+    def test_epl_off_zeroes_the_weights_over_lambda_flags(self, tmp_path, tiny_config):
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        plain, flagged = tmp_path / "off", tmp_path / "off_l1"
+        assert run("train", "--config", tiny_config, "--data", data, "--out", plain,
+                   "--epl", "off") == 0
+        assert run("train", "--config", tiny_config, "--data", data, "--out", flagged,
+                   "--epl", "off", "--lambda1", 0.3) == 0
+        echo = json.loads((flagged / "config_echo.json").read_text())
+        assert (echo["config"]["loss"]["lambda1"], echo["config"]["loss"]["lambda2"]) == (0.0, 0.0)
+        assert not {"epl", "ablate"} & set(echo)
+        assert (flagged / "history.json").read_bytes() == (plain / "history.json").read_bytes()
 
     def test_eval_perfect_and_missing(self, tmp_path, tiny_config, capsys):
         data = tmp_path / "data"
@@ -502,3 +545,33 @@ class TestErrorPaths:
                    "--out", tmp_path / "losses.json") == 2
         assert "flat config must be retrained" in capsys.readouterr().err
         assert not (tmp_path / "losses.json").exists()
+
+    def test_loss_rejects_a_sidecar_with_the_converter_outside_ac(self, tmp_path, tiny_config,
+                                                                   capsys):
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        sections = train_sections(model.TrainConfig())
+        del sections["ac"]["converter"]
+        model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0),
+                              {"converter": "sc", **sections})
+        assert run("loss", "--data", data, "--checkpoint", tmp_path / "ck",
+                   "--out", tmp_path / "losses.json") == 2
+        assert "lacks 'converter'" in capsys.readouterr().err
+        assert not (tmp_path / "losses.json").exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("gen", "dataset", {"count": 6.9}),
+        ("train", "train", {"epochs": 2.5}),
+    ])
+    def test_a_float_integer_key_exits_2_before_any_work(self, tmp_path, tiny_config, capsys,
+                                                         command, key, value):
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        capsys.readouterr()
+        config = tmp_path / "float.json"
+        config.write_text(json.dumps({**TINY, key: {**TINY[key], **value}}))
+        out = tmp_path / "out"
+        where = ("--data", data) if command == "train" else ()
+        assert run(command, "--config", config, *where, "--out", out) == 2
+        assert "must be an integer" in capsys.readouterr().err
+        assert not out.exists()

@@ -8,7 +8,6 @@ from epl import io
 from epl.datagen import (
     SceneSpec,
     generate_dataset,
-    generate_mixed_dataset,
     generate_sample,
     read_sample,
     write_dataset,
@@ -129,7 +128,7 @@ class TestGeneration:
             assert miou(nearest, s.labels, 3)[1] == 1.0
 
     def test_mixed_dataset_alternates_kinds(self):
-        samples = generate_mixed_dataset(spec(count=6, noise_sigma=0.0))
+        samples = generate_dataset(spec(kind="mixed", count=6, noise_sigma=0.0))
         assert len(samples) == 6
         # Even indices come from the rectangle stream, odd from the disks.
         rect = generate_sample(spec(kind="adjacent_rects", noise_sigma=0.0), 0)

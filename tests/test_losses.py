@@ -472,8 +472,8 @@ class TestCombine:
 
     @staticmethod
     def train_cfg(converter="ac", **loss):
-        return model.TrainConfig(loss=LossConfig(mu_exp=2, **loss), ac=ACConfig(kernel_size=5),
-                                 converter=converter)
+        return model.TrainConfig(loss=LossConfig(mu_exp=2, **loss),
+                                 ac=ACConfig(kernel_size=5, converter=converter))
 
     def test_zero_weights_equal_ce(self):
         probs, labels = self.scene()

@@ -22,7 +22,7 @@ def tiny_sample(seed=0, size=16, sigma=0.1):
 
 def small_cfg(epochs=2, converter="ac", **loss):
     return TrainConfig(epochs=epochs, batch_size=2, learning_rate=0.05, seed=0,
-                       loss=LossConfig(**loss), ac=ACConfig(kernel_size=5), converter=converter)
+                       loss=LossConfig(**loss), ac=ACConfig(kernel_size=5, converter=converter))
 
 
 class TestForward:
