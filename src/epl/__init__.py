@@ -13,10 +13,8 @@ trainable network, and a CLI for reproducible experiments.
 from .datagen import Sample, SceneSpec, generate_dataset, read_sample, write_sample
 from .fields import (
     ACConfig,
-    Splitter,
     ac_adjoint,
     anisotropic_convolve,
-    make_splitter,
     one_hot,
     potential_oracle,
     standard_convolve,
@@ -50,7 +48,6 @@ __all__ = [
     "LossValue",
     "Sample",
     "SceneSpec",
-    "Splitter",
     "TinyNet",
     "TrainConfig",
     "ac_adjoint",
@@ -67,7 +64,6 @@ __all__ = [
     "finite_diff_gradient",
     "generate_dataset",
     "line_target",
-    "make_splitter",
     "miou",
     "objective",
     "one_hot",

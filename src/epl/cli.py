@@ -6,9 +6,11 @@ writes a config echo next to its outputs, so a result directory always
 records how it was produced.  A flag that sets a config key has that key's
 dotted path as its argparse dest (--kernel-size is "ac.kernel_size",
 --ablate sc is "ac.converter"), so one reader turns the given flags plus
---seed into the override of every command, convert and eval included;
-train's --epl off adds zero potential-loss weights to it.  Exit status is
-nonzero on validation or numerical failure.
+--seed into the override of every command; train's --epl off adds zero
+potential-loss weights to it.  Only the commands that draw random numbers
+take --seed: gen, gradcheck, train and ablate (loss uses the seed its
+checkpoint recorded; convert and eval draw none).  Exit status is nonzero
+on validation or numerical failure.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 from . import config as config_mod
 from . import datagen, gradcheck, io, metrics, model
-from .fields import SPLITTER_KINDS, one_hot
+from .fields import SPLITTERS, one_hot
 from .losses import NORMS, dice_loss
 
 
@@ -160,8 +162,7 @@ def cmd_loss(args, cfg: dict) -> int:
         sums["dice"] += dice_loss(probs, one_hot(s.labels, net.num_classes)).value
         sums["combined"] += terms["total"]
     n = len(samples)
-    used = {"converter": train_cfg.ac.converter, "kernel_size": train_cfg.ac.kernel_size,
-            "splitter": train_cfg.ac.splitter.kind, **asdict(train_cfg.loss)}
+    used = {**asdict(train_cfg.ac), **asdict(train_cfg.loss)}
     records = [
         {"loss_name": name, "value": total / n, "config": used, "seed": train_cfg.seed}
         for name, total in sums.items()
@@ -175,11 +176,9 @@ def cmd_loss(args, cfg: dict) -> int:
 
 def cmd_gradcheck(args, cfg: dict) -> int:
     kinds = gradcheck.LOSS_KINDS if args.loss == "all" else (args.loss,)
-    mu_exp = {} if args.mu_exp is None else {"mu_exp": args.mu_exp}
-    reports = []
-    for kind in kinds:
-        report = gradcheck.run_gradcheck(kind, samples=args.samples, seed=cfg["seed"], **mu_exp)
-        reports.append(report.to_json())
+    given = {k: v for k, v in {"samples": args.samples, "mu_exp": args.mu_exp}.items()
+             if v is not None}
+    reports = [asdict(gradcheck.run_gradcheck(kind, seed=cfg["seed"], **given)) for kind in kinds]
     payload = {"command": "gradcheck", "seed": cfg["seed"], "reports": reports}
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -241,12 +240,12 @@ def _nanmean(values) -> float | None:
     return float(np.mean(vals)) if vals else None
 
 
-#: sweep -> (config section, key, ablate list of its values, value type)
+#: sweep -> (config section, key, ablate list of its values)
 SWEEPS = {
-    "mu": ("loss", "mu_exp", "mu_values", int),
-    "splitter": ("ac", "splitter", "splitters", str),
-    "kernel": ("ac", "kernel_size", "kernel_sizes", int),
-    "weight": ("loss", "lambda2", "weights", float),
+    "mu": ("loss", "mu_exp", "mu_values"),
+    "splitter": ("ac", "splitter", "splitters"),
+    "kernel": ("ac", "kernel_size", "kernel_sizes"),
+    "weight": ("loss", "lambda2", "weights"),
 }
 
 #: The last epoch's history columns of each ablate row, after the sweep and its value.
@@ -256,14 +255,15 @@ ABLATE_COLUMNS = ("loss_ce", "loss_point", "loss_line", "miou", "trimap_iou", "f
 def cmd_ablate(args, cfg: dict) -> int:
     samples = datagen.generate_dataset(config_mod.build_scene_spec(cfg))
     train_set, val_set = _split_train_val(samples, cfg["train"]["val_fraction"])
-    section, name, values, kind = SWEEPS[args.sweep]
+    section, name, values = SWEEPS[args.sweep]
     rows = []
-    for value in map(kind, cfg["ablate"][values]):
-        patch = {section: {name: value}}
+    for swept in cfg["ablate"][values]:
+        patch = {section: {name: swept}}
         if args.sweep == "weight":
             # The line-loss protocol: the swept value is the line weight, with the point term off.
             patch["loss"]["lambda1"] = 0.0
         train_cfg = config_mod.build_train_config(config_mod.merge(cfg, patch))
+        value = getattr(getattr(train_cfg, section), name)  # as the built config stores it
         _net, history = model.train(train_set, train_cfg, eval_dataset=val_set or None)
         last = history[-1]
         if not all(np.isfinite(v) for k, v in last.items() if k.startswith("loss_")):
@@ -302,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def ac_flags(p):
         key_flag(p, "--kernel-size", "ac.kernel_size", type=int)
-        key_flag(p, "--splitter", "ac.splitter", choices=SPLITTER_KINDS)
+        key_flag(p, "--splitter", "ac.splitter", choices=SPLITTERS)
 
     p = sub.add_parser("gen", help="generate a synthetic dataset")
     common(p)
@@ -317,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("convert", help="convert a label map to potential fields")
-    common(p)
+    common(p, seed=False)  # the conversion draws no random number
     p.add_argument("--labels", required=True, help="input P5 PGM label map")
     p.add_argument("--out", required=True, help="output .eplt tensor")
     p.add_argument("--classes", type=int, default=None)
@@ -336,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
     common(p)
     p.add_argument("--loss", choices=gradcheck.LOSS_KINDS + ("all",), default="all")
-    p.add_argument("--samples", type=int, default=64)
+    # Unset, --samples and --mu-exp take run_gradcheck's defaults.
+    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--mu-exp", dest="mu_exp", type=int, default=None)
     p.add_argument("--out", type=str, default=None)
     p.set_defaults(func=cmd_gradcheck)
@@ -361,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate predicted label maps against ground truth")
-    common(p)
+    common(p, seed=False)  # scoring draws no random number
     p.add_argument("--pred", required=True)
     p.add_argument("--gt", required=True)
     p.add_argument("--out", required=True)

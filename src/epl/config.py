@@ -5,20 +5,23 @@ loss, train, eval, ablate.  Command-line flags override file values, and
 everything has a default, so a bare command is already a runnable
 experiment.  The dataset, ac, loss and train defaults are those of
 SceneSpec, ACConfig, LossConfig and TrainConfig, so there is one set of
-them, and each value is checked by the dataclass that uses it.  A single
-top-level seed feeds every component (see seeding.py for the streams).
+them, and each value is checked by the dataclass that uses it.  A section
+holds its dataclass's fields as the dataclass stores them (the splitter as
+its kind letter, a real value as a number), so it is built by keyword and
+written back by asdict.  A single top-level seed feeds every component
+(see seeding.py for the streams).
 """
 
 from __future__ import annotations
 
 import copy
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import model
 from .datagen import SceneSpec
-from .fields import ACConfig, make_splitter
+from .fields import ACConfig
 from .losses import LossConfig
 
 
@@ -28,21 +31,16 @@ class ConfigError(ValueError):
 
 def train_sections(cfg: model.TrainConfig) -> dict:
     """The seed, ac, loss and train sections of a config that build_train_config reads back."""
-    return {
-        "seed": cfg.seed,
-        "ac": {"kernel_size": cfg.ac.kernel_size, "splitter": cfg.ac.splitter.kind,
-               "converter": cfg.ac.converter},
-        "loss": asdict(cfg.loss),
-        "train": {key: getattr(cfg, key)
-                  for key in ("epochs", "batch_size", "learning_rate", "momentum")},
-    }
+    train = asdict(cfg)
+    return {"seed": train.pop("seed"), "ac": train.pop("ac"), "loss": train.pop("loss"),
+            "train": train}
 
 
 _TRAIN_DEFAULTS = train_sections(model.TrainConfig())
 
 DEFAULTS: dict = {
     "seed": _TRAIN_DEFAULTS["seed"],
-    "dataset": {k: v for k, v in SceneSpec().to_json().items() if k != "seed"},
+    "dataset": {k: v for k, v in asdict(SceneSpec()).items() if k != "seed"},
     "ac": _TRAIN_DEFAULTS["ac"],
     "loss": _TRAIN_DEFAULTS["loss"],
     "train": {**_TRAIN_DEFAULTS["train"], "val_fraction": 0.2},
@@ -93,15 +91,15 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 #: fails before any variant trains.
 _ABLATE_CHECKS = {
     "mu_values": lambda v: LossConfig(mu_exp=v),
-    "weights": lambda v: LossConfig(lambda2=float(v)),
-    "splitters": make_splitter,
+    "weights": lambda v: LossConfig(lambda2=v),
+    "splitters": lambda v: ACConfig(splitter=v),
     "kernel_sizes": lambda v: ACConfig(kernel_size=v),
 }
 
 
 def validate_config(cfg: dict) -> None:
     """Reject invalid values early, each by the object that owns its rule."""
-    ds, tr, ev, ab = cfg["dataset"], cfg["train"], cfg["eval"], cfg["ablate"]
+    tr, ev, ab = cfg["train"], cfg["eval"], cfg["ablate"]
     try:
         build_scene_spec(cfg)
         build_train_config(cfg)
@@ -124,36 +122,25 @@ def validate_config(cfg: dict) -> None:
 
 def build_scene_spec(cfg: dict) -> SceneSpec:
     """The dataset section and the seed as a scene recipe."""
-    ds = cfg["dataset"]
-    intensities = ds["intensities"]
-    return SceneSpec(**{
-        **ds,
-        "noise_sigma": float(ds["noise_sigma"]),
-        "intensities": None if intensities is None else tuple(float(v) for v in intensities),
-        "seed": cfg["seed"],
-    })
+    return SceneSpec(**cfg["dataset"], seed=cfg["seed"])
+
+
+def _exactly(cls, section: dict):
+    """cls built from a section that holds each of its fields (KeyError names a missing one)."""
+    return cls(**{f.name: section[f.name] for f in fields(cls)})
 
 
 def build_train_config(cfg: dict) -> model.TrainConfig:
     """The one reader of a training config: the seed, ac, loss and train sections.
 
     `epl train` and `epl ablate` pass the resolved experiment config, `epl
-    loss` the config a checkpoint recorded (train_sections).
+    loss` the config a checkpoint recorded (train_sections).  Each section
+    goes to its dataclass as it is, which checks and stores its values.
     """
-    ac, ls, tr = cfg["ac"], cfg["loss"], cfg["train"]
+    tr = cfg["train"]
     return model.TrainConfig(
-        epochs=tr["epochs"],
-        batch_size=tr["batch_size"],
-        learning_rate=float(tr["learning_rate"]),
-        momentum=float(tr["momentum"]),
+        **{key: tr[key] for key in ("epochs", "batch_size", "learning_rate", "momentum")},
         seed=cfg["seed"],
-        loss=LossConfig(
-            norm=str(ls["norm"]),
-            reduction=str(ls["reduction"]),
-            mu_exp=ls["mu_exp"],
-            lambda1=float(ls["lambda1"]),
-            lambda2=float(ls["lambda2"]),
-        ),
-        ac=ACConfig(kernel_size=ac["kernel_size"], splitter=make_splitter(ac["splitter"]),
-                    converter=ac["converter"]),
+        loss=_exactly(LossConfig, cfg["loss"]),
+        ac=_exactly(ACConfig, cfg["ac"]),
     )

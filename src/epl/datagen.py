@@ -35,7 +35,10 @@ _PLACEMENT_ATTEMPTS = 500
 
 @dataclass(frozen=True)
 class SceneSpec:
-    """Scene recipe; `intensities` defaults to an even spread over [0, 1]."""
+    """Scene recipe; `intensities` defaults to an even spread over [0, 1].
+
+    noise_sigma and each intensity are ints or floats (not bools), stored as floats.
+    """
 
     kind: str = "mixed"
     height: int = 64
@@ -59,6 +62,13 @@ class SceneSpec:
             raise ValueError("scenes need at least a 16x16 canvas")
         if self.count < 1:
             raise ValueError("count must be positive")
+        if type(self.noise_sigma) not in (int, float):
+            raise ValueError(f"noise_sigma must be a number, got {self.noise_sigma!r}")
+        object.__setattr__(self, "noise_sigma", float(self.noise_sigma))
+        if self.intensities is not None:
+            if any(type(v) not in (int, float) for v in self.intensities):
+                raise ValueError(f"intensities must be numbers, got {self.intensities!r}")
+            object.__setattr__(self, "intensities", tuple(map(float, self.intensities)))
         if not (self.noise_sigma >= 0 and math.isfinite(self.noise_sigma)):
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma!r}")
         if not 1 <= self.gap <= 2:
@@ -81,12 +91,6 @@ class SceneSpec:
         if self.intensities is None:
             return np.linspace(0.0, 1.0, self.classes)
         return np.asarray(self.intensities, dtype=np.float64)
-
-    def to_json(self) -> dict:
-        d = asdict(self)
-        if d["intensities"] is not None:
-            d["intensities"] = list(d["intensities"])
-        return d
 
 
 @dataclass
@@ -278,7 +282,7 @@ def write_dataset(out_dir, samples: list[Sample], spec: SceneSpec) -> Path:
         stem = f"sample_{i:04d}"
         write_sample(out / stem, sample)
         stems.append(stem)
-    manifest = {"scene": spec.to_json(), "samples": stems}
+    manifest = {"scene": asdict(spec), "samples": stems}
     path = out / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
     return path

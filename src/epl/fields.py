@@ -9,6 +9,10 @@ directed ray through the center.  For a binary input plane the energies are
 integers in [0, radius + 1]; the level sets of the intermediate values
 1..radius are the equipotential lines hugging the class contour.
 
+A splitter kind names the directions: A the four axes, B the four
+diagonals, C all eight (SPLITTERS).  ACConfig holds the kind, as its config
+section does, and ACConfig.directions looks it up.
+
 Kernel and mask weights are fixed constants; nothing here is trained.  All
 operations are pure functions and accumulate in float64.
 
@@ -32,34 +36,14 @@ import numpy as np
 AXIS_DIRECTIONS = ((-1, 0), (1, 0), (0, -1), (0, 1))  # up, down, left, right
 DIAGONAL_DIRECTIONS = ((-1, -1), (-1, 1), (1, -1), (1, 1))
 
-SPLITTER_KINDS = ("A", "B", "C")
-
-
-@dataclass(frozen=True)
-class Splitter:
-    """Ordered set of unit direction offsets selecting the kernel rays."""
-
-    kind: str
-    directions: tuple[tuple[int, int], ...]
-
-    def __len__(self) -> int:
-        return len(self.directions)
-
-
-def make_splitter(kind: str) -> Splitter:
-    """Splitter A (up, down, left, right), B (the four diagonals), or C (all eight)."""
-    if kind == "A":
-        return Splitter("A", AXIS_DIRECTIONS)
-    if kind == "B":
-        return Splitter("B", DIAGONAL_DIRECTIONS)
-    if kind == "C":
-        return Splitter("C", AXIS_DIRECTIONS + DIAGONAL_DIRECTIONS)
-    raise ValueError(f"unknown splitter kind {kind!r}, expected one of {SPLITTER_KINDS}")
+#: Splitter kind -> its ordered ray directions.
+SPLITTERS = {"A": AXIS_DIRECTIONS, "B": DIAGONAL_DIRECTIONS,
+             "C": AXIS_DIRECTIONS + DIAGONAL_DIRECTIONS}
 
 
 @dataclass(frozen=True)
 class ACConfig:
-    """Conversion settings: an odd box size, a splitter and the converter.
+    """Conversion settings: an odd box size, a splitter kind and the converter.
 
     converter "ac" keeps the splitter's rays of the box (anisotropic_convolve);
     "sc" is the ablation that drops the ray mask and sums the whole box
@@ -67,19 +51,27 @@ class ACConfig:
     """
 
     kernel_size: int = 7
-    splitter: Splitter = make_splitter("A")
+    splitter: str = "A"
     converter: str = "ac"
 
     def __post_init__(self) -> None:
         w = self.kernel_size
         if not isinstance(w, int) or w < 3 or w % 2 == 0:
             raise ValueError(f"kernel_size must be an odd integer >= 3, got {w!r}")
+        if not isinstance(self.splitter, str) or self.splitter not in SPLITTERS:
+            raise ValueError(
+                f"unknown splitter kind {self.splitter!r}, expected one of {tuple(SPLITTERS)}"
+            )
         if self.converter not in ("ac", "sc"):
             raise ValueError(f"converter must be 'ac' or 'sc', got {self.converter!r}")
 
     @property
     def radius(self) -> int:
         return self.kernel_size // 2
+
+    @property
+    def directions(self) -> tuple[tuple[int, int], ...]:
+        return SPLITTERS[self.splitter]
 
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
@@ -150,7 +142,7 @@ def anisotropic_convolve(field, cfg: ACConfig) -> np.ndarray:
     f = _as_field(field)
     k, h, w = f.shape
     r = cfg.radius
-    dirs = cfg.splitter.directions
+    dirs = cfg.directions
     pad = _zero_bordered(f, r)
     wp = pad.shape[-1]
     flat = pad.reshape(k, -1)
@@ -171,7 +163,7 @@ def ac_adjoint(energy_grad, cfg: ACConfig) -> np.ndarray:
     is what chains potential-domain loss gradients back to the class planes.
     """
     g = np.asarray(energy_grad, dtype=np.float64)
-    dirs = cfg.splitter.directions
+    dirs = cfg.directions
     if g.ndim != 4 or g.shape[0] != len(dirs):
         raise ValueError(
             f"energy gradient must have shape (|S|={len(dirs)}, classes, height, width), got {g.shape}"
@@ -228,7 +220,7 @@ def potential_oracle(field, cfg: ACConfig) -> np.ndarray:
     f = _as_field(field)
     k, h, w = f.shape
     r = cfg.radius
-    dirs = cfg.splitter.directions
+    dirs = cfg.directions
     out = np.zeros((len(dirs), k, h, w), dtype=np.float64)
     for si, (dy, dx) in enumerate(dirs):
         for c in range(k):

@@ -8,12 +8,12 @@ stream (seed, GRADCHECK, kind), so a report is bit-reproducible for a seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import model, seeding
-from .fields import ACConfig, anisotropic_convolve, make_splitter, one_hot
+from .fields import ACConfig, anisotropic_convolve, one_hot
 from .losses import (
     LossConfig,
     cross_entropy_loss,
@@ -45,9 +45,6 @@ class GradReport:
     step: float
     seed: int
 
-    def to_json(self) -> dict:
-        return asdict(self)
-
 
 def finite_diff_gradient(loss_fn, field, coordinate, step: float = DEFAULT_STEP) -> float:
     """Central difference of a scalar loss along one coordinate of `field`."""
@@ -68,9 +65,9 @@ def finite_diff_gradient(loss_fn, field, coordinate, step: float = DEFAULT_STEP)
 def _scenario(loss_kind: str, dims, rng, mu_exp: int):
     """Return (field0, loss_fn, analytic_grad, valid_mask_or_None) for a kind."""
     k, h, w = dims
-    ac_cfg = ACConfig(kernel_size=5, splitter=make_splitter("A"))
+    ac_cfg = ACConfig(kernel_size=5, splitter="A")
     radius = ac_cfg.radius
-    e_shape = (len(ac_cfg.splitter), k, h, w)
+    e_shape = (len(ac_cfg.directions), k, h, w)
 
     if loss_kind in ("point_l1", "point_l2"):
         cfg = LossConfig(norm=loss_kind[-2:], reduction="mean", mu_exp=mu_exp)

@@ -72,7 +72,8 @@ class LossConfig:
 
     mu_exp is the even exponent of the line-loss activation (odd exponents
     would break its symmetry around the level and are rejected).  lambda1
-    and lambda2 weight the point and line terms in the training objective.
+    and lambda2 weight the point and line terms in the training objective;
+    each is an int or a float (not a bool), stored as a float.
     """
 
     norm: str = "l2"
@@ -90,8 +91,11 @@ class LossConfig:
             raise ValueError(f"mu_exp must be an even integer >= 2, got {self.mu_exp!r}")
         for name in ("lambda1", "lambda2"):
             weight = getattr(self, name)
+            if type(weight) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {weight!r}")
             if not (weight >= 0 and math.isfinite(weight)):
                 raise ValueError(f"{name} must be finite and >= 0, got {weight!r}")
+            object.__setattr__(self, name, float(weight))
 
 
 @dataclass

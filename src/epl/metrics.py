@@ -118,13 +118,8 @@ def boundary_fmeasure(pred_labels, gt_labels, tol: int) -> float:
         bg = trans_g & (g == c)
         n_pred += int(bp.sum())
         n_gt += int(bg.sum())
-        if tol > 0:
-            tp_pred += int((bp & chebyshev_dilate(bg, tol)).sum())
-            tp_gt += int((bg & chebyshev_dilate(bp, tol)).sum())
-        else:
-            hits = int((bp & bg).sum())
-            tp_pred += hits
-            tp_gt += hits
+        tp_pred += int((bp & chebyshev_dilate(bg, tol)).sum())
+        tp_gt += int((bg & chebyshev_dilate(bp, tol)).sum())
     if n_pred == 0 and n_gt == 0:
         return 1.0
     if n_pred == 0 or n_gt == 0:
@@ -158,8 +153,8 @@ class EvalReport:
 
 
 def evaluate_pair(pred_labels, gt_labels, num_classes: int,
-                  trimap_widths=(1, 3, 5, 10), f_tolerances=(1, 3, 5, 10)) -> EvalReport:
-    """Full metric sweep for one prediction/ground-truth pair."""
+                  trimap_widths, f_tolerances) -> EvalReport:
+    """Full metric sweep for one pair at the eval section's widths and tolerances."""
     ious, mean = miou(pred_labels, gt_labels, num_classes)
     report = EvalReport(per_class_iou=[float(v) for v in ious], miou=mean)
     for w in trimap_widths:

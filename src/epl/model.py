@@ -83,6 +83,11 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
+        for name in ("learning_rate", "momentum"):
+            value = getattr(self, name)
+            if type(value) not in (int, float):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            object.__setattr__(self, name, float(value))
         if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
             raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate!r}")
         if not 0.0 <= self.momentum < 1.0:

@@ -18,7 +18,6 @@ from epl.cli import main as cli_main
 from epl.fields import (
     ACConfig,
     anisotropic_convolve,
-    make_splitter,
     one_hot,
     potential_oracle,
 )
@@ -49,7 +48,7 @@ def test_criterion_1_conversion_oracle():
         h = int(rng.integers(4, 17))
         w = int(rng.integers(4, 17))
         k = int(rng.integers(1, 5))
-        cfg = ACConfig(int(rng.choice(kernels)), make_splitter(str(rng.choice(kinds))))
+        cfg = ACConfig(int(rng.choice(kernels)), str(rng.choice(kinds)))
         if case < 200:
             field = (rng.random((k, h, w)) > 0.5).astype(float)
             exact = np.array_equal(anisotropic_convolve(field, cfg), potential_oracle(field, cfg))
@@ -69,11 +68,11 @@ def test_criterion_2_energy_range():
     lab[4:9, 4:9] = 1  # centered 5x5 square
     field = one_hot(lab, 2)
 
-    e5 = anisotropic_convolve(field, ACConfig(5, make_splitter("A")))
+    e5 = anisotropic_convolve(field, ACConfig(5, "A"))
     values5 = set(np.unique(e5[:, 1]))
     ok5 = values5 == {0.0, 1.0, 2.0, 3.0}
 
-    e7 = anisotropic_convolve(field, ACConfig(7, make_splitter("A")))
+    e7 = anisotropic_convolve(field, ACConfig(7, "A"))
     values7 = set(np.unique(e7[:, 1]))
     ok7 = values7 == {0.0, 1.0, 2.0, 3.0, 4.0}
     levels_present = all((e7[:, 1] == tau).any() for tau in (1, 2, 3))
@@ -84,7 +83,7 @@ def test_criterion_2_energy_range():
 
 def test_criterion_3_perfect_prediction_zeros():
     rng = np.random.default_rng(103)
-    cfg_ac = ACConfig(5, make_splitter("A"))
+    cfg_ac = ACConfig(5, "A")
     worst_point = 0.0
     worst_line = 0.0
     worst_edc_gap = 0.0
@@ -246,7 +245,7 @@ def _desk_run(seed, lambda1, lambda2, converter):
     cfg = model.TrainConfig(epochs=EPOCHS, batch_size=8, learning_rate=LEARNING_RATE,
                             seed=seed,
                             loss=LossConfig(lambda1=lambda1, lambda2=lambda2, mu_exp=10, norm="l2"),
-                            ac=ACConfig(kernel_size=7, splitter=make_splitter("A"),
+                            ac=ACConfig(kernel_size=7, splitter="A",
                                         converter=converter))
     start = time.perf_counter()
     _net, history = model.train(train, cfg, eval_dataset=val)

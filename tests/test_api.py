@@ -1,0 +1,15 @@
+import epl
+from epl import fields
+
+
+def test_every_exported_name_resolves():
+    for name in epl.__all__:
+        assert getattr(epl, name) is not None, name
+
+
+def test_the_splitter_is_its_kind_string():
+    assert not {"Splitter", "make_splitter"} & set(epl.__all__)
+    for name in ("Splitter", "make_splitter", "SPLITTER_KINDS"):
+        assert not hasattr(epl, name) and not hasattr(fields, name), name
+    assert epl.ACConfig().splitter == "A"
+    assert epl.ACConfig(splitter="C").directions == fields.SPLITTERS["C"]

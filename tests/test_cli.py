@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+from dataclasses import asdict
 
 import numpy as np
 import numpy.testing as npt
@@ -9,7 +10,7 @@ import pytest
 
 from epl import datagen, gradcheck, io, model
 from epl.cli import build_parser, main
-from epl.fields import ACConfig, make_splitter, one_hot, standard_convolve
+from epl.fields import ACConfig, one_hot, standard_convolve
 from epl.losses import LossConfig, equipotential_line_loss, point_loss
 from epl.config import ConfigError, DEFAULTS, build_train_config, load_config, train_sections
 
@@ -64,7 +65,7 @@ class TestConfig:
         cfg = model.TrainConfig(
             epochs=3, batch_size=2, learning_rate=0.04, momentum=0.5, seed=7,
             loss=LossConfig(norm="l1", mu_exp=4, lambda1=weights[0], lambda2=weights[1]),
-            ac=ACConfig(kernel_size=9, splitter=make_splitter(splitter), converter=converter))
+            ac=ACConfig(kernel_size=9, splitter=splitter, converter=converter))
         assert build_train_config(train_sections(cfg)) == cfg
 
     def test_rejects_odd_mu(self, tmp_path):
@@ -127,7 +128,6 @@ CONFIG_FLAGS = [
     ("gen", "--height", "dataset.height", 20),
     ("gen", "--width", "dataset.width", 18),
     ("gen", "--gap", "dataset.gap", 2),
-    ("convert", "--seed", "seed", 5),
     ("convert", "--kernel-size", "ac.kernel_size", 3),
     ("convert", "--splitter", "ac.splitter", "B"),
     ("gradcheck", "--seed", "seed", 5),
@@ -143,7 +143,6 @@ CONFIG_FLAGS = [
     ("train", "--kernel-size", "ac.kernel_size", 3),
     ("train", "--splitter", "ac.splitter", "C"),
     ("train", "--ablate", "ac.converter", "sc"),
-    ("eval", "--seed", "seed", 5),
     ("ablate", "--seed", "seed", 5),
     ("ablate", "--count", "dataset.count", 4),
     ("ablate", "--epochs", "train.epochs", 2),
@@ -421,7 +420,13 @@ class TestGradcheckCommand:
         out = tmp_path / "g.json"
         assert run("gradcheck", "--loss", "line", "--samples", 8, "--out", out) == 0
         report = json.loads(out.read_text())["reports"][0]
-        assert report == gradcheck.run_gradcheck("line", samples=8, seed=0).to_json()
+        assert report == asdict(gradcheck.run_gradcheck("line", samples=8, seed=0))
+
+    def test_samples_defaults_to_run_gradcheck(self, tmp_path):
+        out = tmp_path / "g.json"
+        assert run("gradcheck", "--loss", "line", "--out", out) == 0
+        report = json.loads(out.read_text())["reports"][0]
+        assert report == asdict(gradcheck.run_gradcheck("line", seed=0))
 
 
 class TestAblate:
@@ -483,6 +488,40 @@ class TestErrorPaths:
         out = tmp_path / "eval"
         assert run("eval", "--pred", data, "--gt", data, "--out", out, "--classes", 2) == 2
         assert "label 2 lies outside [0, 2)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["convert", "eval"])
+    def test_seed_is_not_an_option_of_a_command_without_randomness(self, tmp_path, capsys,
+                                                                   command):
+        where = {"convert": ("--labels", tmp_path / "m.pgm", "--out", tmp_path / "f.eplt"),
+                 "eval": ("--pred", tmp_path, "--gt", tmp_path, "--out", tmp_path / "e")}
+        with pytest.raises(SystemExit) as exc:
+            run(command, *where[command], "--seed", 5)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
+        assert not (tmp_path / "f.eplt").exists() and not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("value", ["0.05", True], ids=["string", "bool"])
+    @pytest.mark.parametrize("command,section,entry,name", [
+        ("gen", "dataset", lambda v: {"noise_sigma": v}, "noise_sigma"),
+        ("gen", "dataset", lambda v: {"intensities": [0.0, v, 1.0]}, "intensities"),
+        ("train", "train", lambda v: {"learning_rate": v}, "learning_rate"),
+        ("train", "train", lambda v: {"momentum": v}, "momentum"),
+        ("train", "loss", lambda v: {"lambda1": v}, "lambda1"),
+        ("train", "loss", lambda v: {"lambda2": v}, "lambda2"),
+        ("ablate", "ablate", lambda v: {"weights": [0.1, v]}, "ablate.weights: lambda2"),
+    ], ids=["noise_sigma", "intensity", "learning_rate", "momentum", "lambda1", "lambda2",
+            "ablate-weight"])
+    def test_a_non_number_real_setting_exits_2_before_any_work(self, tmp_path, flag_inputs,
+                                                               capsys, command, section,
+                                                               entry, name, value):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({**TINY, section: {**TINY.get(section, {}), **entry(value)}}))
+        out = tmp_path / "out"
+        where = {"gen": (), "train": ("--data", flag_inputs / "data"),
+                 "ablate": ("--sweep", "weight")}[command]
+        assert run(command, "--config", config, *where, "--out", out) == 2
+        assert f"{name} must be " in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_labels_file(self, tmp_path, capsys):

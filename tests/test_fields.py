@@ -8,7 +8,7 @@ from epl.fields import (
     ACConfig,
     ac_adjoint,
     anisotropic_convolve,
-    make_splitter,
+    SPLITTERS,
     one_hot,
     potential_oracle,
     shift2d,
@@ -17,7 +17,7 @@ from epl.fields import (
 
 
 def cfg(w=5, kind="A"):
-    return ACConfig(kernel_size=w, splitter=make_splitter(kind))
+    return ACConfig(kernel_size=w, splitter=kind)
 
 
 class TestOneHot:
@@ -48,27 +48,25 @@ class TestOneHot:
 
 class TestSplitter:
     def test_a_has_the_four_axes_in_order(self):
-        s = make_splitter("A")
-        assert s.directions == ((-1, 0), (1, 0), (0, -1), (0, 1))
-        assert len(s) == 4
+        assert cfg(kind="A").directions == ((-1, 0), (1, 0), (0, -1), (0, 1))
+        assert SPLITTERS["A"] == cfg(kind="A").directions
 
     def test_b_is_the_four_diagonals_disjoint_from_a(self):
-        a = set(make_splitter("A").directions)
-        b = set(make_splitter("B").directions)
+        a = set(SPLITTERS["A"])
+        b = set(cfg(kind="B").directions)
         assert len(b) == 4
         assert not a & b
         assert all(dy in (-1, 1) and dx in (-1, 1) for dy, dx in b)
 
     def test_c_is_the_union(self):
-        c = make_splitter("C")
+        c = cfg(kind="C").directions
         assert len(c) == 8
-        assert set(c.directions) == set(make_splitter("A").directions) | set(
-            make_splitter("B").directions
-        )
+        assert set(c) == set(SPLITTERS["A"]) | set(SPLITTERS["B"])
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_splitter("D")
+        for kind in ("D", "a", "", None, ["A"]):
+            with pytest.raises(ValueError, match="unknown splitter kind"):
+                cfg(kind=kind)
 
 
 class TestACConfig:
@@ -86,7 +84,7 @@ class TestAnisotropicConvolve:
     def test_binary_row_profile(self):
         field = np.array([[0, 0, 1, 1, 1, 0, 0]], dtype=float)[None]
         e = anisotropic_convolve(field, cfg(5))
-        right = cfg(5).splitter.directions.index((0, 1))
+        right = cfg(5).directions.index((0, 1))
         npt.assert_array_equal(e[right, 0, 0], [1, 2, 3, 2, 1, 0, 0])
 
     def test_zero_field(self):
@@ -146,7 +144,7 @@ class TestAnisotropicConvolve:
         rng = np.random.default_rng(3)
         field = rng.random((2, 9, 9))
         c = cfg(5)
-        dirs = c.splitter.directions
+        dirs = c.directions
         e = anisotropic_convolve(field, c)
         e_m = anisotropic_convolve(field[..., ::-1], c)
         npt.assert_allclose(
@@ -189,7 +187,7 @@ class TestAdjoint:
         for kind, w in (("A", 5), ("C", 7), ("B", 3)):
             c = cfg(w, kind)
             x = rng.normal(size=(2, 8, 9))
-            y = rng.normal(size=(len(c.splitter), 2, 8, 9))
+            y = rng.normal(size=(len(c.directions), 2, 8, 9))
             lhs = float((anisotropic_convolve(x, c) * y).sum())
             rhs = float((x * ac_adjoint(y, c)).sum())
             assert abs(lhs - rhs) < 1e-9
@@ -253,8 +251,8 @@ class TestShiftedCopyReference:
 
     @staticmethod
     def reference_convolve(f, c):
-        out = np.empty((len(c.splitter),) + f.shape)
-        for si, (dy, dx) in enumerate(c.splitter.directions):
+        out = np.empty((len(c.directions),) + f.shape)
+        for si, (dy, dx) in enumerate(c.directions):
             acc = f.copy()
             for t in range(1, c.radius + 1):
                 acc += shift2d(f, t * dy, t * dx)
@@ -264,7 +262,7 @@ class TestShiftedCopyReference:
     @staticmethod
     def reference_adjoint(g, c):
         out = np.zeros(g.shape[1:])
-        for si, (dy, dx) in enumerate(c.splitter.directions):
+        for si, (dy, dx) in enumerate(c.directions):
             for t in range(c.radius + 1):
                 out += shift2d(g[si], -t * dy, -t * dx)
         return out

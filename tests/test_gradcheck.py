@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -77,7 +79,7 @@ class TestRunGradcheck:
 
     def test_report_serialization(self):
         report = run_gradcheck("dice", samples=16, seed=0)
-        payload = report.to_json()
+        payload = asdict(report)
         assert payload["loss_name"] == "dice"
         assert set(payload) == {
             "loss_name", "coordinates", "max_rel_error", "fraction_passing", "step", "seed",

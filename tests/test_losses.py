@@ -11,7 +11,6 @@ from epl.fields import (
     ACConfig,
     ac_adjoint,
     anisotropic_convolve,
-    make_splitter,
     one_hot,
     standard_convolve,
 )
@@ -36,7 +35,7 @@ def random_energies(seed, shape=(4, 2, 6, 6), top=3.0):
 
 def gt_energies(seed, k=3, h=8, w=8, kernel=5, kind="A"):
     rng = np.random.default_rng(seed)
-    cfg = ACConfig(kernel, make_splitter(kind))
+    cfg = ACConfig(kernel, kind)
     labels = rng.integers(0, k, (h, w))
     return anisotropic_convolve(one_hot(labels, k), cfg), cfg.radius
 
@@ -282,7 +281,7 @@ def reference_line_loss(gt, pred, mu, radius):
 
 def _ac_case(kind, kernel, shape, seed, classes=3):
     rng = np.random.default_rng(seed)
-    cfg = ACConfig(kernel, make_splitter(kind))
+    cfg = ACConfig(kernel, kind)
     labels = rng.integers(0, classes, shape)
     probs = rng.dirichlet(np.ones(classes), shape).transpose(2, 0, 1)
     return (anisotropic_convolve(one_hot(labels, classes), cfg),

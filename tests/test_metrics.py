@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from epl.config import DEFAULTS
 from epl.metrics import (
     boundary_band,
     boundary_fmeasure,
@@ -226,7 +227,7 @@ class TestEvaluatePair:
         rng = np.random.default_rng(8)
         gt = rng.integers(0, 3, (16, 16))
         pred = rng.integers(0, 3, (16, 16))
-        report = evaluate_pair(pred, gt, 3)
+        report = evaluate_pair(pred, gt, 3, **DEFAULTS["eval"])
         assert set(report.trimap) == {1, 3, 5, 10}
         assert set(report.boundary_f) == {1, 3, 5, 10}
         payload = report.to_json()
