@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epl.fields import (
+    SPLITTERS,
     ACConfig,
     ac_adjoint,
     anisotropic_convolve,
-    SPLITTERS,
     one_hot,
     potential_oracle,
     shift2d,
