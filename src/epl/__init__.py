@@ -33,14 +33,13 @@ from .losses import (
     line_target,
     point_loss,
 )
-from .metrics import EvalReport, boundary_band, boundary_fmeasure, evaluate_pair, miou, trimap_iou
+from .metrics import boundary_band, boundary_fmeasure, evaluate_pair, miou, trimap_iou
 from .model import TinyNet, TrainConfig, backward, objective, train
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ACConfig",
-    "EvalReport",
     "GradReport",
     "LineRegions",
     "LineTarget",

@@ -137,12 +137,15 @@ def _checkpoint_train_config(stem, sidecar: dict) -> model.TrainConfig:
     """The training config recorded in a checkpoint's sidecar."""
     try:
         return config_mod.build_train_config(sidecar.get("config", {}))
-    except (KeyError, TypeError) as exc:
-        raise io.FormatError(
-            f"{stem}: sidecar config lacks {exc}: it must hold the seed, ac (converter "
-            f"included), loss and train sections; a checkpoint with a flat config must be "
-            f"retrained, as must one with its converter outside ac"
-        ) from None
+    except KeyError as exc:
+        problem = f"lacks {exc}"
+    except TypeError as exc:
+        problem = str(exc)
+    raise io.FormatError(
+        f"{stem}: sidecar config {problem}: it must hold exactly the seed, ac (converter "
+        f"included), loss and train sections; a checkpoint with a flat config must be "
+        f"retrained, as must one with its converter outside ac or a loss.reduction"
+    )
 
 
 def cmd_loss(args, cfg: dict) -> int:
@@ -207,8 +210,8 @@ def cmd_eval(args, cfg: dict) -> int:
         gt = io.read_pgm(gt_path)
         pred = io.read_pgm(pred_dir / gt_path.name)
         k = args.classes if args.classes is not None else int(max(gt.max(), pred.max())) + 1
-        report = metrics.evaluate_pair(pred, gt, k, widths, tols)
-        per_sample.append({"sample": gt_path.stem, **report.to_json()})
+        per_sample.append({"sample": gt_path.stem,
+                           **metrics.evaluate_pair(pred, gt, k, widths, tols)})
     summary = {
         "miou": float(np.mean([r["miou"] for r in per_sample])),
         "trimap_iou": {

@@ -111,10 +111,11 @@ def validate_config(cfg: dict) -> None:
                     check(value)
                 except (ValueError, TypeError, OverflowError) as exc:
                     raise ValueError(f"ablate.{key}: {exc}") from None
-        if not 0.0 <= tr["val_fraction"] < 1.0:
-            raise ValueError(f"train.val_fraction must lie in [0, 1), got {tr['val_fraction']!r}")
+        vf = tr["val_fraction"]
+        if type(vf) not in (int, float) or not 0.0 <= vf < 1.0:
+            raise ValueError(f"train.val_fraction must be a number in [0, 1), got {vf!r}")
         for name, least in (("trimap_widths", 1), ("f_tolerances", 0)):
-            if not ev[name] or any(not isinstance(v, int) or v < least for v in ev[name]):
+            if not ev[name] or any(type(v) is not int or v < least for v in ev[name]):
                 raise ValueError(f"eval.{name} must be a nonempty list of integers >= {least}")
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -126,8 +127,15 @@ def build_scene_spec(cfg: dict) -> SceneSpec:
 
 
 def _exactly(cls, section: dict):
-    """cls built from a section that holds each of its fields (KeyError names a missing one)."""
-    return cls(**{f.name: section[f.name] for f in fields(cls)})
+    """cls built from a section of exactly its fields.
+
+    KeyError names a missing field, TypeError a key that is no field.
+    """
+    names = [f.name for f in fields(cls)]
+    unknown = sorted(set(section) - set(names))
+    if unknown:
+        raise TypeError(f"holds {unknown[0]!r}, which {cls.__name__} does not have")
+    return cls(**{name: section[name] for name in names})
 
 
 def build_train_config(cfg: dict) -> model.TrainConfig:

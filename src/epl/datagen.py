@@ -37,7 +37,8 @@ _PLACEMENT_ATTEMPTS = 500
 class SceneSpec:
     """Scene recipe; `intensities` defaults to an even spread over [0, 1].
 
-    noise_sigma and each intensity are ints or floats (not bools), stored as floats.
+    The integer fields are ints (not bools); noise_sigma and each intensity
+    are ints or floats (not bools), stored as floats.
     """
 
     kind: str = "mixed"
@@ -54,7 +55,7 @@ class SceneSpec:
         if self.kind not in SCENE_KINDS:
             raise ValueError(f"unknown scene kind {self.kind!r}, expected one of {SCENE_KINDS}")
         for name in ("height", "width", "classes", "count", "gap", "seed"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.classes < 2:
             raise ValueError(f"need at least background + one class, got classes={self.classes}")

@@ -56,7 +56,7 @@ class ACConfig:
 
     def __post_init__(self) -> None:
         w = self.kernel_size
-        if not isinstance(w, int) or w < 3 or w % 2 == 0:
+        if type(w) is not int or w < 3 or w % 2 == 0:
             raise ValueError(f"kernel_size must be an odd integer >= 3, got {w!r}")
         if not isinstance(self.splitter, str) or self.splitter not in SPLITTERS:
             raise ValueError(

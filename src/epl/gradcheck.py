@@ -70,7 +70,7 @@ def _scenario(loss_kind: str, dims, rng, mu_exp: int):
     e_shape = (len(ac_cfg.directions), k, h, w)
 
     if loss_kind in ("point_l1", "point_l2"):
-        cfg = LossConfig(norm=loss_kind[-2:], reduction="mean", mu_exp=mu_exp)
+        cfg = LossConfig(norm=loss_kind[-2:], mu_exp=mu_exp)
         e_gt = rng.uniform(0.0, radius + 1.0, e_shape)
         pred0 = rng.uniform(0.0, radius + 1.0, e_shape)
         valid = None

@@ -1,13 +1,14 @@
 """Losses in the probability and potential domains.
 
-The point loss regresses predicted potential energies onto the ground truth,
-averaging over directions.  The line loss scores contour agreement: for each
-(class, direction, integer level) it activates soft level-set memberships
-``exp(-(energy - level)**mu)`` of both energy planes and compares them with a
-normalized dice-style coefficient (EDC) that equals 1 exactly when the
-prediction matches the ground truth.  Cross-entropy and plain dice operate in
-the probability domain as baselines.  The weighted training total and its
-gradient are formed in one place, ``model.objective``.
+The point loss regresses predicted potential energies onto the ground truth:
+the mean over the elements of each direction, averaged over directions.  The
+line loss scores contour agreement: for each (class, direction, integer
+level) it activates soft level-set memberships ``exp(-(energy - level)**mu)``
+of both energy planes and compares them with a normalized dice-style
+coefficient (EDC) that equals 1 exactly when the prediction matches the
+ground truth.  Cross-entropy and plain dice operate in the probability
+domain as baselines.  The weighted training total and its gradient are
+formed in one place, ``model.objective``.
 
 The membership activation is evaluated over the whole plane, which keeps the
 line loss differentiable everywhere; the sorted equal-count line regions are
@@ -17,16 +18,17 @@ results are deterministic.
 
 The ground-truth side of the line loss depends on the labels alone, so
 :func:`line_target` builds it once per sample and training reuses it at
-every step.  It keeps the integer energies in the smallest integer dtype
-(uint8 for every converter and kernel the CLI offers), three scalars per
-(level, direction, class) -- whether the level has a ground-truth pixel,
-the membership mass and its squared mass -- and one small table per level
-from which the memberships are gathered.  At 64x64 with 3 classes, splitter
-A and kernel 7 that is 48 KiB per sample; no float64 plane is cached.  The
-prediction side is evaluated a block of (direction, class) planes at a time
-for each level, with each float64 temporary capped at LINE_BLOCK_BYTES so a
-block stays in L2.  Both paths keep the summation order of one plane at a
-time, so the results are bit-identical to it.
+every step.  The energies of a one-hot field are nonnegative integers, and
+it keeps them in the smallest unsigned dtype (uint8 for every converter and
+kernel the CLI offers), three scalars per (level, direction, class) --
+whether the level has a ground-truth pixel, the membership mass and its
+squared mass -- and one small table per level from which the memberships
+are gathered.  At 64x64 with 3 classes, splitter A and kernel 7 that is
+48 KiB per sample; no float64 plane is cached.  The prediction side is
+evaluated a block of (direction, class) planes at a time for each level,
+with each float64 temporary capped at LINE_BLOCK_BYTES so a block stays in
+L2.  Both paths keep the summation order of one plane at a time, so the
+results are bit-identical to it.
 """
 
 from __future__ import annotations
@@ -55,15 +57,14 @@ LINE_BLOCK_BYTES = 128 * 1024
 #: scalar path, so the line loss writes their zero without calling exp.
 EXP_ZERO_BELOW = -746.0
 
-#: Largest integer range of ground-truth energies that the per-level
-#: membership tables of :class:`LineTarget` may cover.
+#: Ground-truth energies lie in [0, MAX_ENERGY_SPAN): the per-level
+#: membership tables of :class:`LineTarget` have one entry per integer.
 MAX_ENERGY_SPAN = 1 << 16
 
 #: Probabilities are clamped to at least this before the log in cross-entropy.
 PROB_CLAMP = 1e-12
 
 NORMS = ("l1", "l2")
-REDUCTIONS = ("sum", "mean")
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,6 @@ class LossConfig:
     """
 
     norm: str = "l2"
-    reduction: str = "mean"
     mu_exp: int = 10
     lambda1: float = 0.1
     lambda2: float = 0.01
@@ -85,9 +85,7 @@ class LossConfig:
     def __post_init__(self) -> None:
         if self.norm not in NORMS:
             raise ValueError(f"norm must be one of {NORMS}, got {self.norm!r}")
-        if self.reduction not in REDUCTIONS:
-            raise ValueError(f"reduction must be one of {REDUCTIONS}, got {self.reduction!r}")
-        if not isinstance(self.mu_exp, int) or self.mu_exp < 2 or self.mu_exp % 2 != 0:
+        if type(self.mu_exp) is not int or self.mu_exp < 2 or self.mu_exp % 2 != 0:
             raise ValueError(f"mu_exp must be an even integer >= 2, got {self.mu_exp!r}")
         for name in ("lambda1", "lambda2"):
             weight = getattr(self, name)
@@ -119,15 +117,13 @@ def _paired_energies(e_gt, e_pred) -> tuple[np.ndarray, np.ndarray]:
 def point_loss(e_gt, e_pred, cfg: LossConfig) -> LossValue:
     """Direction-averaged L1/L2 regression between two potential-field sets.
 
-    With delta = gt - pred, the sum reduction is (1/|S|) * sum |delta| (or
-    delta**2); the mean reduction additionally divides by the per-direction
-    element count.  The gradient w.r.t. the prediction is returned.
+    With delta = gt - pred, the value is sum |delta| (or delta**2) divided by
+    the direction count |S| and by the element count K * H * W of one
+    direction.  The gradient w.r.t. the prediction is returned.
     """
     gt, pred = _paired_energies(e_gt, e_pred)
     delta = gt - pred
-    scale = 1.0 / gt.shape[0]
-    if cfg.reduction == "mean":
-        scale /= delta[0].size
+    scale = 1.0 / gt.shape[0] / delta[0].size
     if cfg.norm == "l1":
         value = float(np.abs(delta).sum() * scale)
         grad = -np.sign(delta) * scale
@@ -219,12 +215,12 @@ def _int_pow(x: np.ndarray, n: int) -> np.ndarray:
 class LineTarget:
     """The ground-truth side of the line loss, fixed by the labels.
 
-    ``energies`` holds the integer ground-truth energies (|S|, K, H, W) in
-    the smallest integer dtype that fits them.  ``luts[t]`` maps an integer
-    energy k to the membership ``exp(-(k - (t + 1))**mu)``; a negative k
-    indexes from the end of the table, as numpy indexing does.  ``present``,
-    ``mass`` and ``sq_mass`` are (radius, |S| * K): whether the level has a
-    ground-truth pixel, and the sums of the memberships and of their squares.
+    ``energies`` holds the nonnegative integer ground-truth energies
+    (|S|, K, H, W) in the smallest unsigned dtype that fits them.
+    ``luts[t]`` maps an energy k to the membership ``exp(-(k - (t + 1))**mu)``.
+    ``present``, ``mass`` and ``sq_mass`` are (radius, |S| * K): whether the
+    level has a ground-truth pixel, and the sums of the memberships and of
+    their squares.
     """
 
     energies: np.ndarray
@@ -239,10 +235,11 @@ class LineTarget:
 def line_target(e_gt, mu: int, radius: int) -> LineTarget:
     """Build the ground-truth side of the line loss once, for reuse at every step.
 
-    e_gt is (|S|, K, H, W) and must be integer-valued; its whole integer
-    range (for example 0..kernel_size**2 for the box filter) is covered.
+    e_gt is (|S|, K, H, W) and must hold integers in [0, MAX_ENERGY_SPAN), as
+    every converter gives for a one-hot field; the whole range from 0 to its
+    largest energy (kernel_size**2 for the box filter) is covered.
     """
-    if not isinstance(mu, int) or mu < 2 or mu % 2 != 0:
+    if type(mu) is not int or mu < 2 or mu % 2 != 0:
         raise ValueError(f"mu must be an even integer >= 2, got {mu!r}")
     gt = np.asarray(e_gt)
     if gt.ndim != 4:
@@ -252,17 +249,12 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
         if not (np.isfinite(as_float).all() and np.array_equal(np.rint(as_float), as_float)):
             raise ValueError("ground-truth energies must be integer-valued")
     lo, hi = (int(gt.min()), int(gt.max())) if gt.size else (0, 0)
-    if hi - lo >= MAX_ENERGY_SPAN:
+    if lo < 0 or hi >= MAX_ENERGY_SPAN:
         raise ValueError(
-            f"ground-truth energies span [{lo}, {hi}], more than {MAX_ENERGY_SPAN} integers"
+            f"ground-truth energies must lie in [0, {MAX_ENERGY_SPAN - 1}], got [{lo}, {hi}]"
         )
-    if lo >= 0:
-        dtype = np.min_scalar_type(hi)
-    else:  # a signed type that holds both -hi - 1 and lo
-        dtype = np.result_type(np.min_scalar_type(lo), np.min_scalar_type(-hi - 1))
-    energies = gt.astype(dtype)
-    # Table index k holds energy k for k >= 0; negative energies wrap to the end.
-    values = np.concatenate([np.arange(max(hi, -1) + 1), np.arange(min(lo, 0), 0)])
+    energies = gt.astype(np.min_scalar_type(hi))
+    values = np.arange(hi + 1)
     levels = np.arange(1, radius + 1, dtype=np.float64)
     luts = np.exp(-_int_pow(values[None, :] - levels[:, None], mu))
     n_dirs, n_classes, h, w = gt.shape

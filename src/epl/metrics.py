@@ -1,13 +1,12 @@
 """Segmentation quality metrics: mIoU, trimap IoU, and boundary F-measure.
 
+evaluate_pair gathers all three for one pair as a JSON-ready record.
 Boundary pixels are label-map pixels with a 4-neighbor of a different
 label; image borders are not boundaries by themselves.  Bands and matching
 tolerances use Chebyshev (8-connected) distance.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -131,34 +130,22 @@ def boundary_fmeasure(pred_labels, gt_labels, tol: int) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-@dataclass
-class EvalReport:
-    """Per-pair evaluation: class IoUs, mIoU, trimap IoU per width, F per tolerance."""
+def evaluate_pair(pred_labels, gt_labels, num_classes: int, trimap_widths, f_tolerances) -> dict:
+    """Full metric sweep for one pair at the eval section's widths and tolerances.
 
-    per_class_iou: list[float]
-    miou: float
-    trimap: dict[int, float] = field(default_factory=dict)
-    boundary_f: dict[int, float] = field(default_factory=dict)
+    Returns the record `epl eval` writes: per_class_iou, miou, and trimap_iou
+    and boundary_f keyed by the width or tolerance as a string, with None
+    for NaN.
+    """
+    def clean(x: float) -> float | None:
+        return None if np.isnan(x) else x
 
-    def to_json(self) -> dict:
-        def _clean(x):
-            return None if isinstance(x, float) and np.isnan(x) else x
-
-        return {
-            "per_class_iou": [_clean(v) for v in self.per_class_iou],
-            "miou": _clean(self.miou),
-            "trimap_iou": {str(k): _clean(v) for k, v in self.trimap.items()},
-            "boundary_f": {str(k): _clean(v) for k, v in self.boundary_f.items()},
-        }
-
-
-def evaluate_pair(pred_labels, gt_labels, num_classes: int,
-                  trimap_widths, f_tolerances) -> EvalReport:
-    """Full metric sweep for one pair at the eval section's widths and tolerances."""
     ious, mean = miou(pred_labels, gt_labels, num_classes)
-    report = EvalReport(per_class_iou=[float(v) for v in ious], miou=mean)
-    for w in trimap_widths:
-        report.trimap[int(w)] = trimap_iou(pred_labels, gt_labels, num_classes, int(w))
-    for t in f_tolerances:
-        report.boundary_f[int(t)] = boundary_fmeasure(pred_labels, gt_labels, int(t))
-    return report
+    return {
+        "per_class_iou": [clean(float(v)) for v in ious],
+        "miou": clean(mean),
+        "trimap_iou": {str(w): clean(trimap_iou(pred_labels, gt_labels, num_classes, w))
+                       for w in map(int, trimap_widths)},
+        "boundary_f": {str(t): clean(boundary_fmeasure(pred_labels, gt_labels, t))
+                       for t in map(int, f_tolerances)},
+    }

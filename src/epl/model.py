@@ -67,7 +67,11 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """One training run: optimizer settings and the loss and conversion settings."""
+    """One training run: optimizer settings and the loss and conversion settings.
+
+    epochs, batch_size and seed are ints (not bools); learning_rate and
+    momentum are ints or floats (not bools), stored as floats.
+    """
 
     epochs: int = 5
     batch_size: int = 8
@@ -79,7 +83,7 @@ class TrainConfig:
 
     def __post_init__(self) -> None:
         for name in ("epochs", "batch_size", "seed"):
-            if not isinstance(getattr(self, name), int):
+            if type(getattr(self, name)) is not int:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
@@ -384,29 +388,28 @@ def _epoch_metrics(net: TinyNet, samples) -> dict:
     }
 
 
-def train(dataset, cfg: TrainConfig, num_classes: int | None = None, eval_dataset=None):
+def train(dataset, cfg: TrainConfig, eval_dataset=None):
     """SGD with momentum over the training objective; returns (net, history).
 
     History holds one record per epoch: mean loss terms over the epoch's
     steps plus mIoU / trimap IoU / boundary F of the current net on
-    `eval_dataset` (the training set when none is given).  Runs are
+    `eval_dataset` (the training set when none is given).  The net has a
+    class for every label up to the largest of either set.  Runs are
     deterministic for a fixed config.
     """
     samples = list(dataset)
     if not samples:
         raise ValueError("dataset is empty")
-    if num_classes is None:
-        num_classes = int(max(int(s.labels.max()) for s in samples)) + 1
+    eval_samples = samples if eval_dataset is None else list(eval_dataset)
+    num_classes = max(int(s.labels.max()) for s in samples + eval_samples) + 1
     net = TinyNet(1, num_classes, seed=cfg.seed)
     velocity = np.zeros_like(net.theta)
-    eval_samples = samples if eval_dataset is None else list(eval_dataset)
     potential = cfg.loss.lambda1 > 0 or cfg.loss.lambda2 > 0
     targets = [ground_truth(s.labels, num_classes, cfg) if potential else None for s in samples]
     history = []
     for epoch in range(cfg.epochs):
         order = seeding.stream(cfg.seed, seeding.STREAM_TRAIN_SHUFFLE, epoch).permutation(len(samples))
         sums = {"ce": 0.0, "point": 0.0, "line": 0.0, "total": 0.0}
-        n_steps = 0
         for start in range(0, len(order), cfg.batch_size):
             batch = order[start:start + cfg.batch_size]
             grad = np.zeros_like(net.theta)
@@ -424,7 +427,6 @@ def train(dataset, cfg: TrainConfig, num_classes: int | None = None, eval_datase
             grad /= len(batch)
             velocity = cfg.momentum * velocity - cfg.learning_rate * grad
             net.theta += velocity
-            n_steps += 1
         record = {"epoch": epoch}
         record.update({f"loss_{k}": sums[k] / len(order) for k in ("ce", "point", "line", "total")})
         record.update(_epoch_metrics(net, eval_samples))

@@ -1,5 +1,5 @@
 import epl
-from epl import fields
+from epl import fields, metrics
 
 
 def test_every_exported_name_resolves():
@@ -13,3 +13,8 @@ def test_the_splitter_is_its_kind_string():
         assert not hasattr(epl, name) and not hasattr(fields, name), name
     assert epl.ACConfig().splitter == "A"
     assert epl.ACConfig(splitter="C").directions == fields.SPLITTERS["C"]
+
+
+def test_evaluate_pair_returns_a_plain_record():
+    assert "EvalReport" not in epl.__all__
+    assert not hasattr(epl, "EvalReport") and not hasattr(metrics, "EvalReport")

@@ -24,6 +24,13 @@ TINY = {
 }
 
 
+def patched(section: str | None, **values) -> dict:
+    """TINY with values set at the top level (section None) or inside section."""
+    if section is None:
+        return {**TINY, **values}
+    return {**TINY, section: {**TINY.get(section, {}), **values}}
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "config.json"
@@ -337,7 +344,7 @@ class TestTrainLossEval:
             assert recorded == {
                 "seed": 4,
                 "ac": {"kernel_size": 5, "splitter": "A", "converter": converter},
-                "loss": {"norm": "l2", "reduction": "mean", "mu_exp": 10,
+                "loss": {"norm": "l2", "mu_exp": 10,
                          "lambda1": weights[0], "lambda2": weights[1]},
                 "train": {"epochs": 1, "batch_size": 4, "learning_rate": 0.05, "momentum": 0.9},
             }
@@ -385,6 +392,17 @@ class TestTrainLossEval:
         assert (echo["config"]["loss"]["lambda1"], echo["config"]["loss"]["lambda2"]) == (0.0, 0.0)
         assert not {"epl", "ablate"} & set(echo)
         assert (flagged / "history.json").read_bytes() == (plain / "history.json").read_bytes()
+
+    def test_the_class_count_covers_the_validation_labels(self, tmp_path):
+        # Seed 2 puts label 3 in the validation sample and not in the training one.
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run("gen", "--out", data, "--kind", "random_polygons", "--classes", 6,
+                   "--count", 2, "--height", 16, "--width", 16, "--noise-sigma", 0.05,
+                   "--seed", 2) == 0
+        samples, _ = datagen.read_dataset(data)
+        assert [int(s.labels.max()) for s in samples] == [3, 2]
+        assert run("train", "--data", data, "--out", out, "--epochs", 1) == 0
+        assert json.loads((out / "checkpoint.json").read_text())["num_classes"] == 4
 
     def test_eval_perfect_and_missing(self, tmp_path, tiny_config, capsys):
         data = tmp_path / "data"
@@ -524,6 +542,32 @@ class TestErrorPaths:
         assert f"{name} must be " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,cfg,name", [
+        ("gen", patched("dataset", count=True), "count"),
+        ("gen", patched("dataset", gap=True), "gap"),
+        ("train", patched("train", epochs=True), "epochs"),
+        ("train", patched("train", batch_size=True), "batch_size"),
+        ("gen", patched(None, seed=True), "seed"),
+        ("gen", patched("eval", trimap_widths=[1, True]), "eval.trimap_widths"),
+        ("train", patched("train", val_fraction=False), "train.val_fraction"),
+    ], ids=["count", "gap", "epochs", "batch_size", "seed", "trimap_widths", "val_fraction"])
+    def test_a_boolean_integer_setting_exits_2_before_any_work(self, tmp_path, flag_inputs,
+                                                               capsys, command, cfg, name):
+        config = tmp_path / "bool.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        where = ("--data", flag_inputs / "data") if command == "train" else ()
+        assert run(command, "--config", config, *where, "--out", out) == 2
+        assert f"{name} must be " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_config_file_with_loss_reduction_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "reduction.json"
+        config.write_text(json.dumps({**TINY, "loss": {"reduction": "mean"}}))
+        assert run("gen", "--config", config, "--out", tmp_path / "out") == 2
+        assert "unknown config key 'loss.reduction'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_missing_labels_file(self, tmp_path, capsys):
         assert run("convert", "--labels", tmp_path / "none.pgm",
                    "--out", tmp_path / "o.eplt") == 2
@@ -596,6 +640,17 @@ class TestErrorPaths:
         assert run("loss", "--data", data, "--checkpoint", tmp_path / "ck",
                    "--out", tmp_path / "losses.json") == 2
         assert "lacks 'converter'" in capsys.readouterr().err
+        assert not (tmp_path / "losses.json").exists()
+
+    def test_loss_rejects_a_sidecar_with_a_loss_reduction(self, tmp_path, flag_inputs, capsys):
+        sections = train_sections(model.TrainConfig())
+        sections["loss"]["reduction"] = "sum"
+        model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0), sections)
+        assert run("loss", "--data", flag_inputs / "data", "--checkpoint", tmp_path / "ck",
+                   "--out", tmp_path / "losses.json") == 2
+        err = capsys.readouterr().err
+        assert "holds 'reduction', which LossConfig does not have" in err
+        assert "retrained" in err
         assert not (tmp_path / "losses.json").exists()
 
     @pytest.mark.parametrize("command,key,value", [

@@ -26,7 +26,7 @@ class TestFiniteDiff:
         rng = np.random.default_rng(0)
         gt = rng.uniform(0, 3, (4, 2, 5, 5))
         pred = rng.uniform(0, 3, (4, 2, 5, 5))
-        cfg = LossConfig(norm="l2", reduction="sum")
+        cfg = LossConfig(norm="l2")
         analytic = point_loss(gt, pred, cfg).gradient
         for _ in range(10):
             coord = tuple(rng.integers(0, s) for s in pred.shape)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -227,12 +229,22 @@ class TestEvaluatePair:
         rng = np.random.default_rng(8)
         gt = rng.integers(0, 3, (16, 16))
         pred = rng.integers(0, 3, (16, 16))
-        report = evaluate_pair(pred, gt, 3, **DEFAULTS["eval"])
-        assert set(report.trimap) == {1, 3, 5, 10}
-        assert set(report.boundary_f) == {1, 3, 5, 10}
-        payload = report.to_json()
-        assert len(payload["per_class_iou"]) == 3
-        assert 0.0 <= payload["miou"] <= 1.0
+        record = evaluate_pair(pred, gt, 3, **DEFAULTS["eval"])
+        assert set(record) == {"per_class_iou", "miou", "trimap_iou", "boundary_f"}
+        assert set(record["trimap_iou"]) == {"1", "3", "5", "10"}
+        assert set(record["boundary_f"]) == {"1", "3", "5", "10"}
+        assert len(record["per_class_iou"]) == 3
+        assert 0.0 <= record["miou"] <= 1.0
+        assert record["trimap_iou"]["3"] == trimap_iou(pred, gt, 3, 3)
+        assert record["boundary_f"]["5"] == boundary_fmeasure(pred, gt, 5)
+
+    def test_nan_is_none(self):
+        gt = np.zeros((8, 8), dtype=int)  # no boundary: an empty trimap band
+        record = evaluate_pair(gt, gt, 3, [2], [1])
+        assert record["per_class_iou"] == [1.0, None, None]
+        assert record["trimap_iou"] == {"2": None}
+        assert record["boundary_f"] == {"1": 1.0}
+        json.dumps(record, allow_nan=False)
 
 
 class TestChebyshevDilate:
