@@ -33,7 +33,7 @@ from .losses import (
     line_target,
     point_loss,
 )
-from .metrics import boundary_band, boundary_fmeasure, evaluate_pair, miou, trimap_iou
+from .metrics import boundary_band, boundary_fmeasure, evaluate_pair, mean_record, miou, trimap_iou
 from .model import TinyNet, TrainConfig, backward, objective, train
 
 __version__ = "0.1.0"
@@ -63,6 +63,7 @@ __all__ = [
     "finite_diff_gradient",
     "generate_dataset",
     "line_target",
+    "mean_record",
     "miou",
     "objective",
     "one_hot",

@@ -94,11 +94,16 @@ def cmd_convert(args, cfg: dict) -> int:
 
 
 def _split_train_val(samples: list, val_fraction: float):
+    """Every stride-th sample from sample 0 validates, stride = max(2, round(1 / val_fraction))."""
     if val_fraction <= 0:
         return samples, []
     stride = max(2, round(1.0 / val_fraction))
     val = samples[::stride]
     train = [s for i, s in enumerate(samples) if i % stride != 0]
+    if val and not train:
+        raise ValueError(f"the training split is empty: the dataset has {len(samples)} sample(s) "
+                         f"and train.val_fraction {val_fraction} sends samples 0, {stride}, "
+                         f"{2 * stride}, ... to validation")
     return train, val
 
 
@@ -150,11 +155,15 @@ def _checkpoint_train_config(stem, sidecar: dict) -> model.TrainConfig:
 
 def cmd_loss(args, cfg: dict) -> int:
     """Losses of a checkpoint under the converter, kernel, splitter, mu and weights it used."""
-    samples, _ = datagen.read_dataset(args.data)
+    samples, manifest = datagen.read_dataset(args.data)
     if not samples:
         raise ValueError(f"{args.data}: the dataset has no samples")
     net, sidecar = model.load_checkpoint(args.checkpoint)
     train_cfg = _checkpoint_train_config(args.checkpoint, sidecar)
+    for stem, s in zip(manifest["samples"], samples):
+        if s.labels.max() >= net.num_classes:
+            raise ValueError(f"{args.data}: sample {stem} has label {s.labels.max()}, beyond "
+                             f"checkpoint {args.checkpoint} with num_classes {net.num_classes}")
     sums = {"cross_entropy": 0.0, "point": 0.0, "line": 0.0, "dice": 0.0, "combined": 0.0}
     for s in samples:
         probs = net.forward(s.image)
@@ -212,15 +221,7 @@ def cmd_eval(args, cfg: dict) -> int:
         k = args.classes if args.classes is not None else int(max(gt.max(), pred.max())) + 1
         per_sample.append({"sample": gt_path.stem,
                            **metrics.evaluate_pair(pred, gt, k, widths, tols)})
-    summary = {
-        "miou": float(np.mean([r["miou"] for r in per_sample])),
-        "trimap_iou": {
-            str(w): _nanmean([r["trimap_iou"][str(w)] for r in per_sample]) for w in widths
-        },
-        "boundary_f": {
-            str(t): float(np.mean([r["boundary_f"][str(t)] for r in per_sample])) for t in tols
-        },
-    }
+    summary = metrics.mean_record(per_sample)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", {"per_sample": per_sample, "mean": summary})
@@ -236,11 +237,6 @@ def cmd_eval(args, cfg: dict) -> int:
     _echo_config(out, "eval", cfg, {"pred": str(pred_dir), "gt": str(gt_dir)})
     print(json.dumps(summary, indent=2))
     return 0
-
-
-def _nanmean(values) -> float | None:
-    vals = [v for v in values if v is not None]
-    return float(np.mean(vals)) if vals else None
 
 
 #: sweep -> (config section, key, ablate list of its values)

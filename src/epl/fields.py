@@ -91,17 +91,6 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     return out.reshape((num_classes,) + lab.shape)
 
 
-def shift2d(planes: np.ndarray, dy: int, dx: int) -> np.ndarray:
-    """Shifted view with zero fill: out[..., y, x] = planes[..., y + dy, x + dx]."""
-    h, w = planes.shape[-2:]
-    out = np.zeros_like(planes)
-    y0, y1 = max(0, -dy), min(h, h - dy)
-    x0, x1 = max(0, -dx), min(w, w - dx)
-    if y0 < y1 and x0 < x1:
-        out[..., y0:y1, x0:x1] = planes[..., y0 + dy:y1 + dy, x0 + dx:x1 + dx]
-    return out
-
-
 def _add_at_offset(acc: np.ndarray, src: np.ndarray, offset: int) -> None:
     """acc[..., i] += src[..., i + offset] in place, wherever both indices exist.
 

@@ -104,16 +104,6 @@ class LossValue:
     gradient: np.ndarray
 
 
-def _paired_energies(e_gt, e_pred) -> tuple[np.ndarray, np.ndarray]:
-    gt = np.asarray(e_gt, dtype=np.float64)
-    pred = np.asarray(e_pred, dtype=np.float64)
-    if gt.shape != pred.shape:
-        raise ValueError(f"energy shapes differ: {gt.shape} vs {pred.shape}")
-    if gt.ndim != 4:
-        raise ValueError(f"energies must have shape (|S|, classes, height, width), got {gt.shape}")
-    return gt, pred
-
-
 def point_loss(e_gt, e_pred, cfg: LossConfig) -> LossValue:
     """Direction-averaged L1/L2 regression between two potential-field sets.
 
@@ -121,7 +111,12 @@ def point_loss(e_gt, e_pred, cfg: LossConfig) -> LossValue:
     the direction count |S| and by the element count K * H * W of one
     direction.  The gradient w.r.t. the prediction is returned.
     """
-    gt, pred = _paired_energies(e_gt, e_pred)
+    gt = np.asarray(e_gt)  # gt - pred promotes a uint8 ground truth exactly, with no copy
+    pred = np.asarray(e_pred, dtype=np.float64)
+    if gt.shape != pred.shape:
+        raise ValueError(f"energy shapes differ: {gt.shape} vs {pred.shape}")
+    if gt.ndim != 4:
+        raise ValueError(f"energies must have shape (|S|, classes, height, width), got {gt.shape}")
     delta = gt - pred
     scale = 1.0 / gt.shape[0] / delta[0].size
     if cfg.norm == "l1":

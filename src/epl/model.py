@@ -373,19 +373,13 @@ def backward(net: TinyNet, image, labels, cfg: TrainConfig, target: LineTarget |
 
 
 def _epoch_metrics(net: TinyNet, samples) -> dict:
-    mious, trims, fms = [], [], []
-    for s in samples:
-        pred = np.argmax(net.forward(s.image), axis=0)
-        mious.append(metrics.miou(pred, s.labels, net.num_classes)[1])
-        tri = metrics.trimap_iou(pred, s.labels, net.num_classes, HISTORY_TRIMAP_WIDTH)
-        if np.isfinite(tri):
-            trims.append(tri)
-        fms.append(metrics.boundary_fmeasure(pred, s.labels, HISTORY_F_TOL))
-    return {
-        "miou": float(np.mean(mious)),
-        "trimap_iou": float(np.mean(trims)) if trims else float("nan"),
-        "fmeasure": float(np.mean(fms)),
-    }
+    """The history columns of the samples' metrics.mean_record (a None trimap is NaN)."""
+    mean = metrics.mean_record(metrics.evaluate_pair(
+        np.argmax(net.forward(s.image), axis=0), s.labels, net.num_classes,
+        (HISTORY_TRIMAP_WIDTH,), (HISTORY_F_TOL,)) for s in samples)
+    (trimap,), (fmeasure,) = mean["trimap_iou"].values(), mean["boundary_f"].values()
+    return {"miou": mean["miou"], "trimap_iou": float("nan") if trimap is None else trimap,
+            "fmeasure": fmeasure}
 
 
 def train(dataset, cfg: TrainConfig, eval_dataset=None):
@@ -398,9 +392,9 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
     deterministic for a fixed config.
     """
     samples = list(dataset)
-    if not samples:
-        raise ValueError("dataset is empty")
     eval_samples = samples if eval_dataset is None else list(eval_dataset)
+    if not samples or not eval_samples:
+        raise ValueError("dataset is empty" if not samples else "eval_dataset is empty")
     num_classes = max(int(s.labels.max()) for s in samples + eval_samples) + 1
     net = TinyNet(1, num_classes, seed=cfg.seed)
     velocity = np.zeros_like(net.theta)

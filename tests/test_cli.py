@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from epl import datagen, gradcheck, io, model
-from epl.cli import build_parser, main
+from epl.cli import _split_train_val, build_parser, main
 from epl.fields import ACConfig, one_hot, standard_convolve
 from epl.losses import LossConfig, equipotential_line_loss, point_loss
 from epl.config import ConfigError, DEFAULTS, build_train_config, load_config, train_sections
@@ -404,6 +404,43 @@ class TestTrainLossEval:
         assert run("train", "--data", data, "--out", out, "--epochs", 1) == 0
         assert json.loads((out / "checkpoint.json").read_text())["num_classes"] == 4
 
+    def test_eval_of_the_validation_predictions_matches_the_history(self, tmp_path):
+        # epl eval and the per-epoch history score pairs and average them on one
+        # code path, so at the history's width and tolerance they agree exactly.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {**patched("train", epochs=2), "eval": {"trimap_widths": [3], "f_tolerances": [3]}}))
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run("gen", "--config", config, "--out", data) == 0
+        assert run("train", "--config", config, "--data", data, "--out", out) == 0
+        history = json.loads((out / "history.json").read_text())
+
+        # The checkpoint holds float32 weights, so the trained float64 net is
+        # rebuilt from the same config and split, and checked against the history.
+        cfg = load_config(config)
+        samples, manifest = datagen.read_dataset(data)
+        train_set, val_set = _split_train_val(list(zip(manifest["samples"], samples)),
+                                              cfg["train"]["val_fraction"])
+        assert len(val_set) == 2
+        net, rebuilt = model.train([s for _, s in train_set], build_train_config(cfg),
+                                   eval_dataset=[s for _, s in val_set])
+        assert rebuilt == history
+
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        for stem, s in val_set:
+            io.write_pgm(pred_dir / f"{stem}.pgm", np.argmax(net.forward(s.image), axis=0))
+            io.write_pgm(gt_dir / f"{stem}.pgm", s.labels)
+        report = tmp_path / "eval"
+        assert run("eval", "--config", config, "--pred", pred_dir, "--gt", gt_dir,
+                   "--out", report, "--classes", net.num_classes) == 0
+        mean = json.loads((report / "report.json").read_text())["mean"]
+        last = history[-1]
+        assert mean["miou"] == last["miou"]
+        assert mean["trimap_iou"] == {"3": last["trimap_iou"]}
+        assert mean["boundary_f"] == {"3": last["fmeasure"]}
+
     def test_eval_perfect_and_missing(self, tmp_path, tiny_config, capsys):
         data = tmp_path / "data"
         assert run("gen", "--config", tiny_config, "--out", data) == 0
@@ -567,6 +604,34 @@ class TestErrorPaths:
         assert run("gen", "--config", config, "--out", tmp_path / "out") == 2
         assert "unknown config key 'loss.reduction'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_train_on_one_sample_names_the_empty_training_split(self, tmp_path, capsys):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run("gen", "--out", data, "--count", 1, "--height", 16, "--width", 16) == 0
+        capsys.readouterr()
+        assert run("train", "--data", data, "--out", out, "--epochs", 1) == 2
+        err = capsys.readouterr().err
+        assert "the training split is empty" in err
+        assert "the dataset has 1 sample(s) and train.val_fraction 0.2" in err
+        assert not out.exists()
+        assert run("train", "--data", data, "--out", out, "--epochs", 1,
+                   "--val-fraction", 0) == 0
+
+    def test_loss_names_a_label_beyond_the_checkpoint_classes(self, tmp_path, capsys):
+        # Seed 2 puts label 3 in sample_0000, beyond a 3-class checkpoint.
+        data = tmp_path / "data"
+        assert run("gen", "--out", data, "--kind", "random_polygons", "--classes", 6,
+                   "--count", 2, "--height", 16, "--width", 16, "--noise-sigma", 0.05,
+                   "--seed", 2) == 0
+        model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0),
+                              train_sections(build_train_config(load_config())))
+        capsys.readouterr()
+        assert run("loss", "--data", data, "--checkpoint", tmp_path / "ck",
+                   "--out", tmp_path / "losses.json") == 2
+        err = capsys.readouterr().err
+        assert (f"sample sample_0000 has label 3, beyond checkpoint {tmp_path / 'ck'} "
+                "with num_classes 3") in err
+        assert not (tmp_path / "losses.json").exists()
 
     def test_missing_labels_file(self, tmp_path, capsys):
         assert run("convert", "--labels", tmp_path / "none.pgm",

@@ -11,9 +11,9 @@ from epl.fields import (
     anisotropic_convolve,
     one_hot,
     potential_oracle,
-    shift2d,
     standard_convolve,
 )
+from shift_reference import shift2d
 
 
 def cfg(w=5, kind="A"):

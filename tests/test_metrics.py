@@ -10,6 +10,7 @@ from epl.metrics import (
     boundary_fmeasure,
     chebyshev_dilate,
     evaluate_pair,
+    mean_record,
     miou,
     transition_mask,
     trimap_iou,
@@ -247,6 +248,53 @@ class TestEvaluatePair:
         json.dumps(record, allow_nan=False)
 
 
+class TestMeanRecord:
+    RECORDS = [
+        {"sample": "a", "miou": 0.5, "trimap_iou": {"3": None, "1": 0.2, "5": None},
+         "boundary_f": {"3": 1.0, "1": 0.1}},
+        {"sample": "b", "miou": 0.25, "trimap_iou": {"3": 0.7, "1": 0.4, "5": None},
+         "boundary_f": {"3": 0.5, "1": 0.3}},
+        {"sample": "c", "miou": 0.1, "trimap_iou": {"3": None, "1": 0.9, "5": None},
+         "boundary_f": {"3": 0.2, "1": 0.6}},
+    ]
+
+    def test_means_in_key_order_skipping_empty_bands(self):
+        mean = mean_record(self.RECORDS)
+        assert mean == {
+            "miou": float(np.mean([0.5, 0.25, 0.1])),
+            "trimap_iou": {"3": 0.7, "1": float(np.mean([0.2, 0.4, 0.9])), "5": None},
+            "boundary_f": {"3": float(np.mean([1.0, 0.5, 0.2])),
+                           "1": float(np.mean([0.1, 0.3, 0.6]))},
+        }
+        assert list(mean) == ["miou", "trimap_iou", "boundary_f"]
+        assert list(mean["trimap_iou"]) == ["3", "1", "5"]
+        assert list(mean["boundary_f"]) == ["3", "1"]
+        json.dumps(mean, allow_nan=False)
+
+    def test_averages_evaluate_pair_records(self):
+        rng = np.random.default_rng(9)
+        pairs = [(rng.integers(0, 3, (12, 12)), rng.integers(0, 3, (12, 12))) for _ in range(3)]
+        pairs.append((np.zeros((12, 12), int), np.zeros((12, 12), int)))  # an empty band
+        mean = mean_record(evaluate_pair(p, g, 3, [2], [1]) for p, g in pairs)
+        assert mean["miou"] == float(np.mean([miou(p, g, 3)[1] for p, g in pairs]))
+        assert mean["trimap_iou"]["2"] == float(np.mean(
+            [trimap_iou(p, g, 3, 2) for p, g in pairs[:3]]))
+        assert mean["boundary_f"]["1"] == float(np.mean(
+            [boundary_fmeasure(p, g, 1) for p, g in pairs]))
+
+    def test_no_records(self):
+        with pytest.raises(ValueError, match="no records"):
+            mean_record([])
+
+
+def brute_dilate(mask, dist):
+    """True where some set pixel lies within max(|dy|, |dx|) <= dist."""
+    ys, xs = np.nonzero(mask)
+    yy, xx = np.mgrid[:mask.shape[0], :mask.shape[1]]
+    reach = np.maximum(np.abs(yy[..., None] - ys), np.abs(xx[..., None] - xs))
+    return (reach <= dist).any(axis=-1)
+
+
 class TestChebyshevDilate:
     def test_single_seed_growth(self):
         m = np.zeros((7, 7), dtype=bool)
@@ -254,3 +302,21 @@ class TestChebyshevDilate:
         grown = chebyshev_dilate(m, 2)
         ys, xs = np.mgrid[:7, :7]
         npt.assert_array_equal(grown, np.maximum(np.abs(ys - 3), np.abs(xs - 3)) <= 2)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 9), (9, 1), (2, 2), (5, 7), (13, 11),
+                                       (20, 3), (33, 64)])
+    def test_matches_brute_force(self, shape):
+        rng = np.random.default_rng(shape[0] * 100 + shape[1])
+        for density in (0.02, 0.1, 0.5):
+            mask = rng.random(shape) < density
+            for dist in (0, 1, 2, 3, 5, max(shape) - 1, max(shape), max(shape) + 4):
+                grown = chebyshev_dilate(mask, dist)
+                assert grown.dtype == bool
+                npt.assert_array_equal(grown, brute_dilate(mask, dist),
+                                       err_msg=f"density {density}, dist {dist}")
+            assert chebyshev_dilate(mask, 0) is not mask
+
+    def test_stacked_planes_dilate_one_by_one(self):
+        masks = np.random.default_rng(4).random((3, 9, 8)) < 0.1
+        npt.assert_array_equal(chebyshev_dilate(masks, 2),
+                               [brute_dilate(m, 2) for m in masks])

@@ -5,10 +5,11 @@ import numpy.testing as npt
 import pytest
 
 from epl import datagen, model
-from epl.fields import ACConfig, shift2d
+from epl.fields import ACConfig
 from epl.io import FormatError
 from epl.losses import LossConfig, cross_entropy_loss
 from epl.model import TinyNet, TrainConfig, TrainingDiverged
+from shift_reference import shift2d
 
 
 MISSING = object()  # a sidecar field that is dropped, not set
@@ -202,8 +203,10 @@ class TestBackward:
 
 class TestTrain:
     def test_empty_dataset_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^dataset is empty"):
             model.train([], small_cfg())
+        with pytest.raises(ValueError, match="eval_dataset is empty"):
+            model.train([tiny_sample()], small_cfg(), eval_dataset=[])
 
     def test_single_sample_overfit_ce_only(self):
         s = tiny_sample(seed=1)
