@@ -33,7 +33,16 @@ from .losses import (
     line_target,
     point_loss,
 )
-from .metrics import boundary_band, boundary_fmeasure, evaluate_pair, mean_record, miou, trimap_iou
+from .metrics import (
+    GroundTruthSide,
+    boundary_band,
+    boundary_fmeasure,
+    evaluate_pair,
+    ground_truth_side,
+    mean_record,
+    miou,
+    trimap_iou,
+)
 from .model import TinyNet, TrainConfig, backward, objective, train
 
 __version__ = "0.1.0"
@@ -41,6 +50,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ACConfig",
     "GradReport",
+    "GroundTruthSide",
     "LineRegions",
     "LineTarget",
     "LossConfig",
@@ -62,6 +72,7 @@ __all__ = [
     "evaluate_pair",
     "finite_diff_gradient",
     "generate_dataset",
+    "ground_truth_side",
     "line_target",
     "mean_record",
     "miou",

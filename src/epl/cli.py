@@ -94,10 +94,13 @@ def cmd_convert(args, cfg: dict) -> int:
 
 
 def _split_train_val(samples: list, val_fraction: float):
-    """Every stride-th sample from sample 0 validates, stride = max(2, round(1 / val_fraction))."""
+    """Every stride-th sample from sample 0 validates, for a val_fraction of 1 / stride.
+
+    Config validation accepts only 0 (no validation split) and 1/n, n >= 2.
+    """
     if val_fraction <= 0:
         return samples, []
-    stride = max(2, round(1.0 / val_fraction))
+    stride = round(1.0 / val_fraction)
     val = samples[::stride]
     train = [s for i, s in enumerate(samples) if i % stride != 0]
     if val and not train:
@@ -167,7 +170,7 @@ def cmd_loss(args, cfg: dict) -> int:
     sums = {"cross_entropy": 0.0, "point": 0.0, "line": 0.0, "dice": 0.0, "combined": 0.0}
     for s in samples:
         probs = net.forward(s.image)
-        terms, _ = model.objective(probs, s.labels, train_cfg)
+        terms, _ = model.objective(probs, s.labels, train_cfg, want_grad=False)
         sums["cross_entropy"] += terms["ce"]
         sums["point"] += terms["point"]
         sums["line"] += terms["line"]

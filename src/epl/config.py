@@ -114,6 +114,10 @@ def validate_config(cfg: dict) -> None:
         vf = tr["val_fraction"]
         if type(vf) not in (int, float) or not 0.0 <= vf < 1.0:
             raise ValueError(f"train.val_fraction must be a number in [0, 1), got {vf!r}")
+        if vf and vf != 1.0 / round(1.0 / vf):
+            n = round(1.0 / vf)
+            raise ValueError(f"train.val_fraction must be 0 or 1/n for an integer n >= 2 "
+                             f"(every n-th sample validates), got {vf!r}; 1/{n} is {1.0 / n!r}")
         for name, least in (("trimap_widths", 1), ("f_tolerances", 0)):
             if not ev[name] or any(type(v) is not int or v < least for v in ev[name]):
                 raise ValueError(f"eval.{name} must be a nonempty list of integers >= {least}")

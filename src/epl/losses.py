@@ -98,10 +98,10 @@ class LossConfig:
 
 @dataclass
 class LossValue:
-    """A scalar loss and its gradient w.r.t. the predicted input."""
+    """A scalar loss and its gradient w.r.t. the predicted input (None if not asked for)."""
 
     value: float
-    gradient: np.ndarray
+    gradient: np.ndarray | None
 
 
 def point_loss(e_gt, e_pred, cfg: LossConfig) -> LossValue:
@@ -347,7 +347,8 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
     return edc, counted, grad
 
 
-def equipotential_line_loss(gt, e_pred, cfg: LossConfig, radius: int) -> LossValue:
+def equipotential_line_loss(gt, e_pred, cfg: LossConfig, radius: int,
+                            want_grad: bool = True) -> LossValue:
     """Accumulated (1 - EDC) over classes, directions, and levels 1..radius.
 
     Per term: d = exp(-(gt - level)**mu) and d_hat likewise on the
@@ -359,13 +360,14 @@ def equipotential_line_loss(gt, e_pred, cfg: LossConfig, radius: int) -> LossVal
     by the direction count.  Levels whose ground-truth line is empty (no
     pixel at exactly that energy) are skipped.  gt is the ground-truth
     energy array or the LineTarget built from it by :func:`line_target`.
+    With want_grad False the gradient is not built and is None.
     """
-    edc, counted, grad = _line_terms(gt, e_pred, cfg.mu_exp, radius, want_grad=True)
+    edc, counted, grad = _line_terms(gt, e_pred, cfg.mu_exp, radius, want_grad)
     total = 0.0
     for term in (1.0 - edc[counted]).tolist():  # (direction, class, level) order
         total += term
-    scale = 1.0 / grad.shape[0]
-    return LossValue(total * scale, grad * scale)
+    scale = 1.0 / edc.shape[0]
+    return LossValue(total * scale, grad * scale if want_grad else None)
 
 
 def equipotential_dice(gt, e_pred, cfg: LossConfig, radius: int) -> np.ndarray:

@@ -6,9 +6,21 @@ mean_record averages such records over pairs: the one scoring path of both
 Boundary pixels are label-map pixels with a 4-neighbor of a different
 label; image borders are not boundaries by themselves.  Bands and matching
 tolerances use Chebyshev (8-connected) distance.
+
+Each mask of a pair is built once and shared by every width and tolerance.
+ground_truth_side takes the ground truth's transition mask once and builds
+each trimap band and the per-class boundary planes from it.  evaluate_pair
+takes the prediction's transition mask and boundary planes once, stacks
+them on the ground truth's as one (2 * classes, H, W) array, and dilates
+that stack in one chebyshev_dilate call per tolerance.  `epl eval` builds
+the ground-truth side per pair; model.train builds it once per run for each
+validation sample.  trimap_iou and boundary_fmeasure score one width or
+tolerance through the same helpers.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,11 +94,76 @@ def chebyshev_dilate(mask, dist: int) -> np.ndarray:
     return out
 
 
-def boundary_band(gt_labels, width: int) -> np.ndarray:
-    """Mask of pixels within Chebyshev distance width of a label transition."""
+def _band(trans: np.ndarray, width: int) -> np.ndarray:
     if width < 1:
         raise ValueError(f"band width must be >= 1, got {width}")
-    return chebyshev_dilate(transition_mask(gt_labels), width)
+    return chebyshev_dilate(trans, width)
+
+
+def _boundary_planes(labels: np.ndarray, trans: np.ndarray, classes) -> np.ndarray:
+    """(len(classes), H, W): the transition pixels of each class, one plane per class."""
+    return trans & (labels == np.reshape(classes, (-1, 1, 1)))
+
+
+def boundary_band(gt_labels, width: int) -> np.ndarray:
+    """Mask of pixels within Chebyshev distance width of a label transition."""
+    return _band(transition_mask(gt_labels), width)
+
+
+@dataclass(frozen=True)
+class GroundTruthSide:
+    """The masks scoring needs from one ground-truth label map; see ground_truth_side.
+
+    ``bands[w]`` is the trimap band of width w and ``planes`` the (classes,
+    H, W) boundary pixels of each class.
+    """
+
+    bands: dict
+    planes: np.ndarray
+
+
+def ground_truth_side(gt_labels, num_classes: int, trimap_widths) -> GroundTruthSide:
+    """The ground-truth masks of evaluate_pair for classes 0..num_classes-1, built once.
+
+    The transition mask is taken once; each band and the per-class boundary
+    planes come from it.  Labels do not change, so a caller scoring many
+    predictions against one map builds this once and passes it to
+    evaluate_pair.
+    """
+    g = np.asarray(gt_labels)
+    trans = transition_mask(g)
+    return GroundTruthSide(bands={w: _band(trans, w) for w in map(int, trimap_widths)},
+                           planes=_boundary_planes(g, trans, np.arange(num_classes)))
+
+
+def _trimap(p, g, num_classes: int, band: np.ndarray) -> float:
+    if not band.any():
+        return float("nan")
+    ious = _class_ious(p[band], g[band], num_classes)
+    return float(np.mean(ious[~np.isnan(ious)]))
+
+
+def _fmeasure(stack: np.ndarray, tol: int) -> float:
+    """Class-matched boundary F of the stacked per-class boundary planes of both sides.
+
+    stack is (2n, H, W): the prediction's planes of n classes, then the
+    ground truth's planes of the same classes.  One chebyshev_dilate call
+    grows both sides; the hits are counts of pixels.
+    """
+    if tol < 0:
+        raise ValueError(f"tolerance must be >= 0, got {tol}")
+    pred, gt = np.split(stack, 2)
+    n_pred, n_gt = np.count_nonzero(pred), np.count_nonzero(gt)
+    if n_pred == 0 and n_gt == 0:
+        return 1.0
+    if n_pred == 0 or n_gt == 0:
+        return 0.0
+    reach_pred, reach_gt = np.split(chebyshev_dilate(stack, tol), 2)
+    precision = np.count_nonzero(pred & reach_gt) / n_pred
+    recall = np.count_nonzero(gt & reach_pred) / n_gt
+    if precision + recall == 0:
+        return 0.0
+    return 2.0 * precision * recall / (precision + recall)
 
 
 def trimap_iou(pred_labels, gt_labels, num_classes: int, width: int) -> float:
@@ -95,11 +172,7 @@ def trimap_iou(pred_labels, gt_labels, num_classes: int, width: int) -> float:
     Only the band is scored, so only its labels must lie in [0, num_classes).
     """
     p, g = _check_label_pair(pred_labels, gt_labels)
-    band = boundary_band(g, width)
-    if not band.any():
-        return float("nan")
-    ious = _class_ious(p[band], g[band], num_classes)
-    return float(np.mean(ious[~np.isnan(ious)]))
+    return _trimap(p, g, num_classes, boundary_band(g, width))
 
 
 def boundary_fmeasure(pred_labels, gt_labels, tol: int) -> float:
@@ -108,51 +181,46 @@ def boundary_fmeasure(pred_labels, gt_labels, tol: int) -> float:
     A predicted boundary pixel counts as correct when a ground-truth
     boundary pixel of the same class lies within Chebyshev distance tol,
     and symmetrically for recall.  Returns 1 when both boundary sets are
-    empty and 0 when exactly one is.
+    empty and 0 when exactly one is.  The classes matched are the labels on
+    either boundary, so any label values are accepted.
     """
-    if tol < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
     p, g = _check_label_pair(pred_labels, gt_labels)
-    trans_p = transition_mask(p)
-    trans_g = transition_mask(g)
-    n_pred = n_gt = tp_pred = tp_gt = 0
-    classes = np.union1d(np.unique(p[trans_p]), np.unique(g[trans_g]))
-    for c in classes:
-        bp = trans_p & (p == c)
-        bg = trans_g & (g == c)
-        n_pred += int(bp.sum())
-        n_gt += int(bg.sum())
-        tp_pred += int((bp & chebyshev_dilate(bg, tol)).sum())
-        tp_gt += int((bg & chebyshev_dilate(bp, tol)).sum())
-    if n_pred == 0 and n_gt == 0:
-        return 1.0
-    if n_pred == 0 or n_gt == 0:
-        return 0.0
-    precision = tp_pred / n_pred
-    recall = tp_gt / n_gt
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    trans_p, trans_g = transition_mask(p), transition_mask(g)
+    classes = np.union1d(p[trans_p], g[trans_g])
+    return _fmeasure(np.concatenate((_boundary_planes(p, trans_p, classes),
+                                     _boundary_planes(g, trans_g, classes))), tol)
 
 
-def evaluate_pair(pred_labels, gt_labels, num_classes: int, trimap_widths, f_tolerances) -> dict:
+def evaluate_pair(pred_labels, gt_labels, num_classes: int, trimap_widths, f_tolerances,
+                  gt_side: GroundTruthSide | None = None) -> dict:
     """Full metric sweep for one pair at the eval section's widths and tolerances.
 
     Returns the record `epl eval` writes: per_class_iou, miou, and trimap_iou
     and boundary_f keyed by the width or tolerance as a string, with None
-    for NaN.
+    for NaN.  gt_side is ground_truth_side(gt_labels, num_classes, widths)
+    for these widths or more; it is built here when not given.  The
+    prediction's boundary planes are built once and stacked on the ground
+    truth's, and each tolerance dilates that stack in one call.
     """
     def clean(x: float) -> float | None:
         return None if np.isnan(x) else x
 
+    widths = [int(w) for w in trimap_widths]
     ious, mean = miou(pred_labels, gt_labels, num_classes)
+    p, g = np.asarray(pred_labels), np.asarray(gt_labels)
+    if gt_side is None:
+        gt_side = ground_truth_side(g, num_classes, widths)
+    elif gt_side.planes.shape != (num_classes, *g.shape) or not gt_side.bands.keys() >= set(widths):
+        raise ValueError(f"gt_side has planes of shape {gt_side.planes.shape} and widths "
+                         f"{sorted(gt_side.bands)}; this pair needs ({num_classes}, {g.shape[0]}, "
+                         f"{g.shape[1]}) and {widths}")
+    stack = np.concatenate((_boundary_planes(p, transition_mask(p), np.arange(num_classes)),
+                            gt_side.planes))
     return {
         "per_class_iou": [clean(float(v)) for v in ious],
         "miou": clean(mean),
-        "trimap_iou": {str(w): clean(trimap_iou(pred_labels, gt_labels, num_classes, w))
-                       for w in map(int, trimap_widths)},
-        "boundary_f": {str(t): clean(boundary_fmeasure(pred_labels, gt_labels, t))
-                       for t in map(int, f_tolerances)},
+        "trimap_iou": {str(w): clean(_trimap(p, g, num_classes, gt_side.bands[w])) for w in widths},
+        "boundary_f": {str(t): clean(_fmeasure(stack, t)) for t in map(int, f_tolerances)},
     }
 
 

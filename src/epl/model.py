@@ -326,7 +326,8 @@ def ground_truth(labels, num_classes: int, cfg: TrainConfig) -> LineTarget:
     return line_target(e_gt, cfg.loss.mu_exp, cfg.ac.radius)
 
 
-def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None):
+def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
+              want_grad: bool = True):
     """The training objective CE + lambda1 * point + lambda2 * line, and its gradient.
 
     probs is a (K, H, W) probability field.  Returns the terms (ce, point,
@@ -335,26 +336,31 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None)
     converter's adjoint.  A potential term is evaluated only when its
     weight is positive, and reads 0.0 otherwise.  target is
     ground_truth(labels, ...); it is built here when needed and not given.
+    With want_grad False only the terms are computed (the line loss without
+    its gradient, nothing through the adjoint), and the gradient is None.
     """
     loss = cfg.loss
     ce = cross_entropy_loss(probs, labels)
     terms = {"ce": ce.value, "point": 0.0, "line": 0.0}
-    dprobs = ce.gradient
+    dprobs = ce.gradient if want_grad else None
     if loss.lambda1 > 0 or loss.lambda2 > 0:
         if target is None:
             target = ground_truth(labels, probs.shape[0], cfg)
         e_pred = convert(probs, cfg)
-        e_grad = np.zeros_like(e_pred)
+        e_grad = np.zeros_like(e_pred) if want_grad else None
         if loss.lambda1 > 0:
             pt = point_loss(target.energies, e_pred, loss)
             terms["point"] = pt.value
-            e_grad += loss.lambda1 * pt.gradient
+            if want_grad:
+                e_grad += loss.lambda1 * pt.gradient
         if loss.lambda2 > 0:
             # Keep these four arguments positional: perfbench/tracer.py unpacks them.
-            ln = equipotential_line_loss(target, e_pred, loss, cfg.ac.radius)
+            ln = equipotential_line_loss(target, e_pred, loss, cfg.ac.radius, want_grad=want_grad)
             terms["line"] = ln.value
-            e_grad += loss.lambda2 * ln.gradient
-        dprobs += _convert_adjoint(e_grad, cfg)
+            if want_grad:
+                e_grad += loss.lambda2 * ln.gradient
+        if want_grad:
+            dprobs += _convert_adjoint(e_grad, cfg)
     terms["total"] = terms["ce"] + loss.lambda1 * terms["point"] + loss.lambda2 * terms["line"]
     return terms, dprobs
 
@@ -372,11 +378,16 @@ def backward(net: TinyNet, image, labels, cfg: TrainConfig, target: LineTarget |
     return terms, net.backward_from_probs(cache, dprobs)
 
 
-def _epoch_metrics(net: TinyNet, samples) -> dict:
-    """The history columns of the samples' metrics.mean_record (a None trimap is NaN)."""
-    mean = metrics.mean_record(metrics.evaluate_pair(
-        np.argmax(net.forward(s.image), axis=0), s.labels, net.num_classes,
-        (HISTORY_TRIMAP_WIDTH,), (HISTORY_F_TOL,)) for s in samples)
+def _epoch_metrics(net: TinyNet, samples, gt_sides) -> dict:
+    """The history columns of the samples' metrics.mean_record (a None trimap is NaN).
+
+    gt_sides holds each sample's metrics.ground_truth_side at the history's
+    trimap width.
+    """
+    mean = metrics.mean_record(
+        metrics.evaluate_pair(np.argmax(net.forward(s.image), axis=0), s.labels, net.num_classes,
+                              (HISTORY_TRIMAP_WIDTH,), (HISTORY_F_TOL,), gt_side)
+        for s, gt_side in zip(samples, gt_sides))
     (trimap,), (fmeasure,) = mean["trimap_iou"].values(), mean["boundary_f"].values()
     return {"miou": mean["miou"], "trimap_iou": float("nan") if trimap is None else trimap,
             "fmeasure": fmeasure}
@@ -388,8 +399,10 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
     History holds one record per epoch: mean loss terms over the epoch's
     steps plus mIoU / trimap IoU / boundary F of the current net on
     `eval_dataset` (the training set when none is given).  The net has a
-    class for every label up to the largest of either set.  Runs are
-    deterministic for a fixed config.
+    class for every label up to the largest of either set.  Labels never
+    change, so the loss targets and the ground-truth side of each evaluation
+    sample's metrics are built once per run.  Runs are deterministic for a
+    fixed config.
     """
     samples = list(dataset)
     eval_samples = samples if eval_dataset is None else list(eval_dataset)
@@ -400,6 +413,8 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
     velocity = np.zeros_like(net.theta)
     potential = cfg.loss.lambda1 > 0 or cfg.loss.lambda2 > 0
     targets = [ground_truth(s.labels, num_classes, cfg) if potential else None for s in samples]
+    gt_sides = [metrics.ground_truth_side(s.labels, num_classes, (HISTORY_TRIMAP_WIDTH,))
+                for s in eval_samples]
     history = []
     for epoch in range(cfg.epochs):
         order = seeding.stream(cfg.seed, seeding.STREAM_TRAIN_SHUFFLE, epoch).permutation(len(samples))
@@ -423,7 +438,7 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
             net.theta += velocity
         record = {"epoch": epoch}
         record.update({f"loss_{k}": sums[k] / len(order) for k in ("ce", "point", "line", "total")})
-        record.update(_epoch_metrics(net, eval_samples))
+        record.update(_epoch_metrics(net, eval_samples, gt_sides))
         history.append(record)
     return net, history
 

@@ -303,6 +303,23 @@ class TestTrainLossEval:
         assert all(set(r) == {"loss_name", "value", "config", "seed"} for r in records)
         assert all(np.isfinite(r["value"]) for r in records)
 
+    def test_loss_builds_no_gradient(self, tmp_path, tiny_config, monkeypatch):
+        data, run_on = tmp_path / "data", tmp_path / "run_on"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        assert run("train", "--config", tiny_config, "--data", data, "--out", run_on) == 0
+        report = tmp_path / "losses.json"
+        assert run("loss", "--data", data, "--checkpoint", run_on / "checkpoint",
+                   "--out", report) == 0
+
+        def no_adjoint(*args):
+            raise AssertionError("epl loss chained a gradient through the adjoint")
+
+        monkeypatch.setattr(model, "_convert_adjoint", no_adjoint)
+        again = tmp_path / "again.json"
+        assert run("loss", "--data", data, "--checkpoint", run_on / "checkpoint",
+                   "--out", again) == 0
+        assert again.read_bytes() == report.read_bytes()
+
     def test_loss_uses_the_checkpoint_config(self, tmp_path, tiny_config):
         # Trained with kernel 5 and the box filter; `epl loss` runs with the
         # defaults (kernel 7, directional conversion) and must still score
@@ -496,6 +513,37 @@ class TestAblate:
         for row in rows:
             for key in ("loss_ce", "loss_point", "loss_line", "miou"):
                 assert np.isfinite(float(row[key]))
+
+
+class TestValidationSplit:
+    @pytest.mark.parametrize("fraction,val", [
+        (0, []), (0.2, [0, 5]), (0.25, [0, 4, 8]), (1 / 3, [0, 3, 6, 9]), (0.5, [0, 2, 4, 6, 8]),
+    ])
+    def test_every_nth_sample_validates(self, fraction, val):
+        train, val_set = _split_train_val(list(range(10)), fraction)
+        assert val_set == val
+        assert train == [i for i in range(10) if i not in val]
+
+    @pytest.mark.parametrize("fraction", [0.3, 0.33, 0.4, 0.6, 0.9, 0.19])
+    def test_a_fraction_other_than_one_over_n_exits_2(self, tmp_path, tiny_config, capsys,
+                                                       fraction):
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        capsys.readouterr()
+        assert run("train", "--config", tiny_config, "--data", data, "--out", out,
+                   "--val-fraction", fraction) == 2
+        err = capsys.readouterr().err
+        assert "train.val_fraction must be 0 or 1/n for an integer n >= 2" in err
+        assert f"got {fraction!r}" in err
+        assert not out.exists()
+
+    def test_ablate_rejects_the_fraction_before_any_variant_trains(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(patched("train", val_fraction=0.3)))
+        out = tmp_path / "ablate"
+        assert run("ablate", "--config", path, "--sweep", "mu", "--out", out) == 2
+        assert "got 0.3; 1/3 is 0.3333333333333333" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestErrorPaths:

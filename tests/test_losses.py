@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epl import model
+from epl import losses, model
 from epl.fields import (
     ACConfig,
     ac_adjoint,
@@ -187,6 +187,26 @@ class TestLineLoss:
             expected += 1.0 - edc
         value = equipotential_line_loss(gt, pred, LossConfig(mu_exp=mu), radius=2).value
         npt.assert_allclose(value, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("mu", [2, 10])
+    def test_value_only_call_gives_the_value_and_no_gradient(self, monkeypatch, mu):
+        asked = []
+        real = losses._line_terms
+
+        def spy(*args):
+            asked.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(losses, "_line_terms", spy)
+        for seed in range(4):
+            gt, radius = gt_energies(seed)
+            pred = gt + np.random.default_rng(seed).normal(0.0, 0.5, gt.shape)
+            cfg = LossConfig(mu_exp=mu)
+            full = equipotential_line_loss(gt, pred, cfg, radius)
+            value_only = equipotential_line_loss(gt, pred, cfg, radius, want_grad=False)
+            assert value_only.value == full.value
+            assert value_only.gradient is None
+        assert asked == [True, False] * 4
 
     def test_empty_levels_are_skipped(self):
         gt = np.zeros((1, 1, 4, 4))

@@ -10,11 +10,13 @@ from epl.metrics import (
     boundary_fmeasure,
     chebyshev_dilate,
     evaluate_pair,
+    ground_truth_side,
     mean_record,
     miou,
     transition_mask,
     trimap_iou,
 )
+from test_acceptance import _loop_fmeasure, _loop_trimap
 
 
 def loop_miou(pred, gt, k):
@@ -246,6 +248,133 @@ class TestEvaluatePair:
         assert record["trimap_iou"] == {"2": None}
         assert record["boundary_f"] == {"1": 1.0}
         json.dumps(record, allow_nan=False)
+
+
+WIDTHS = (1, 3, 5, 10)
+TOLERANCES = (0, 1, 3, 5, 10)
+
+
+def standalone_record(pred, gt, k):
+    """The evaluate_pair record rebuilt from the standalone metrics, one call per value."""
+    def clean(x):
+        return None if np.isnan(x) else x
+
+    ious, mean = miou(pred, gt, k)
+    return {"per_class_iou": [clean(float(v)) for v in ious], "miou": clean(mean),
+            "trimap_iou": {str(w): clean(trimap_iou(pred, gt, k, w)) for w in WIDTHS},
+            "boundary_f": {str(t): clean(boundary_fmeasure(pred, gt, t)) for t in TOLERANCES}}
+
+
+class TestSharedScoringPath:
+    """evaluate_pair builds each mask once; every value must equal the one-at-a-time path."""
+
+    @staticmethod
+    def pairs():
+        rng = np.random.default_rng(10)
+        for i in range(24):
+            h, w = (int(v) for v in rng.integers(2, 15, 2))
+            k = int(rng.integers(2, 5))
+            gt = rng.integers(0, k, (h, w))
+            if i % 4 == 1:
+                gt = np.repeat(rng.integers(0, k, (1, w)), h, axis=0)  # vertical stripes
+            pred = gt.copy() if i % 5 == 0 else rng.integers(0, k, (h, w))
+            yield pred, gt, k
+
+    def test_matches_the_standalone_metrics_and_the_loop_oracles(self):
+        for pred, gt, k in self.pairs():
+            record = evaluate_pair(pred, gt, k, WIDTHS, TOLERANCES)
+            assert record == standalone_record(pred, gt, k)
+            assert record["miou"] == loop_miou(pred, gt, k)
+            for w in WIDTHS:
+                oracle = _loop_trimap(pred, gt, k, w)
+                assert record["trimap_iou"][str(w)] == (None if np.isnan(oracle) else oracle)
+            for t in TOLERANCES:
+                assert record["boundary_f"][str(t)] == _loop_fmeasure(pred, gt, t)
+
+    def test_a_prebuilt_ground_truth_side_gives_the_same_record(self):
+        for pred, gt, k in self.pairs():
+            side = ground_truth_side(gt, k, WIDTHS)
+            record = evaluate_pair(pred, gt, k, WIDTHS, TOLERANCES)
+            assert evaluate_pair(pred, gt, k, WIDTHS, TOLERANCES, side) == record
+            # A side built for more widths serves any subset of them.
+            assert (evaluate_pair(pred, gt, k, [3], [1], side)
+                    == evaluate_pair(pred, gt, k, [3], [1]))
+
+    def test_side_built_once_scores_many_predictions(self):
+        rng = np.random.default_rng(11)
+        gt = rng.integers(0, 3, (12, 12))
+        side = ground_truth_side(gt, 3, WIDTHS)
+        for _ in range(5):
+            pred = rng.integers(0, 3, (12, 12))
+            assert (evaluate_pair(pred, gt, 3, WIDTHS, TOLERANCES, side)
+                    == standalone_record(pred, gt, 3))
+
+    @pytest.mark.parametrize("build", [
+        lambda gt: ground_truth_side(gt, 3, [3, 5]),
+        lambda gt: ground_truth_side(gt, 4, [1, 3]),
+        lambda gt: ground_truth_side(gt[:, :6], 3, [1, 3]),
+    ], ids=["missing-width", "other-class-count", "other-shape"])
+    def test_a_side_that_does_not_fit_is_rejected(self, build):
+        gt = np.zeros((8, 8), dtype=int)
+        gt[:, 4:] = 1
+        with pytest.raises(ValueError, match="gt_side has planes of shape"):
+            evaluate_pair(gt, gt, 3, [1, 3], [1], build(gt))
+
+    def test_both_boundaries_empty(self):
+        flat = np.full((6, 7), 2)
+        record = evaluate_pair(flat, flat, 3, WIDTHS, TOLERANCES)
+        assert record == standalone_record(flat, flat, 3)
+        assert record["boundary_f"] == {str(t): 1.0 for t in TOLERANCES}
+        assert record["trimap_iou"] == {str(w): None for w in WIDTHS}  # empty bands
+
+    @pytest.mark.parametrize("empty_side", ["prediction", "ground truth"])
+    def test_exactly_one_boundary_empty(self, empty_side):
+        flat = np.zeros((6, 7), dtype=int)
+        edged = flat.copy()
+        edged[2:4, 3:5] = 1
+        pred, gt = (flat, edged) if empty_side == "prediction" else (edged, flat)
+        record = evaluate_pair(pred, gt, 2, WIDTHS, TOLERANCES)
+        assert record == standalone_record(pred, gt, 2)
+        assert record["boundary_f"] == {str(t): 0.0 for t in TOLERANCES}
+        bands = record["trimap_iou"].values()
+        assert all(v is None for v in bands) == (empty_side == "ground truth")
+
+    def test_a_class_with_boundaries_only_in_the_prediction(self):
+        gt = np.zeros((8, 8), dtype=int)
+        gt[:, 4:] = 1
+        pred = gt.copy()
+        pred[1:3, 1:3] = 2  # class 2 has boundary pixels in the prediction alone
+        record = evaluate_pair(pred, gt, 3, WIDTHS, TOLERANCES)
+        assert record == standalone_record(pred, gt, 3)
+        for t in TOLERANCES:
+            assert record["boundary_f"][str(t)] == _loop_fmeasure(pred, gt, t)
+        # The class-2 pixels and the class-0 ring around them miss at tolerance 0...
+        assert record["boundary_f"]["0"] < 1.0
+        # ...and class 2 never finds a ground-truth boundary of its own class.
+        assert record["boundary_f"]["10"] < 1.0
+
+    @pytest.mark.parametrize("call", [
+        lambda lab: evaluate_pair(lab, lab, 2, [3, 0], [1]),
+        lambda lab: ground_truth_side(lab, 2, [0]),
+        lambda lab: trimap_iou(lab, lab, 2, 0),
+        lambda lab: boundary_band(lab, 0),
+    ], ids=["evaluate_pair", "ground_truth_side", "trimap_iou", "boundary_band"])
+    def test_width_zero_raises(self, call):
+        lab = np.zeros((6, 6), dtype=int)
+        lab[:, 3:] = 1
+        with pytest.raises(ValueError, match=r"^band width must be >= 1, got 0$"):
+            call(lab)
+
+    @pytest.mark.parametrize("call", [
+        lambda lab: evaluate_pair(lab, lab, 2, [3], [1, -1]),
+        lambda lab: boundary_fmeasure(lab, lab, -1),
+        lambda lab: boundary_fmeasure(np.zeros_like(lab), np.zeros_like(lab), -1),
+    ], ids=["evaluate_pair", "boundary_fmeasure", "boundary_fmeasure-no-boundary"])
+    def test_negative_tolerance_raises(self, call):
+        lab = np.zeros((6, 6), dtype=int)
+        lab[:, 3:] = 1
+        with pytest.raises(ValueError, match=r"^tolerance must be >= 0, got -1$"):
+            call(lab)
 
 
 class TestMeanRecord:

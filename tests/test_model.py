@@ -180,6 +180,20 @@ class TestBackward:
             fd = (hi - lo) / (2 * h)
             assert abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-8) < 1e-3
 
+    @pytest.mark.parametrize("converter", ["ac", "sc"])
+    @pytest.mark.parametrize("weights", [(0.1, 0.01), (0.0, 0.01), (0.1, 0.0), (0.0, 0.0)])
+    def test_value_only_objective_gives_the_same_terms(self, monkeypatch, converter, weights):
+        s = tiny_sample(seed=7)
+        probs = TinyNet(1, 3, seed=3).forward(s.image)
+        cfg = small_cfg(lambda1=weights[0], lambda2=weights[1], converter=converter)
+        terms, _ = model.objective(probs, s.labels, cfg)
+
+        def no_adjoint(*args):
+            raise AssertionError("the adjoint ran")
+
+        monkeypatch.setattr(model, "_convert_adjoint", no_adjoint)
+        assert model.objective(probs, s.labels, cfg, want_grad=False) == (terms, None)
+
     def test_non_finite_parameters_raise(self):
         s = tiny_sample()
         net = TinyNet(1, 3, seed=0)
@@ -192,8 +206,8 @@ class TestBackward:
         s = tiny_sample()
         real = model.equipotential_line_loss
 
-        def inf_line(*args):
-            out = real(*args)
+        def inf_line(*args, **kwargs):
+            out = real(*args, **kwargs)
             return type(out)(np.inf, out.gradient)
 
         monkeypatch.setattr(model, "equipotential_line_loss", inf_line)
