@@ -242,14 +242,6 @@ def cmd_eval(args, cfg: dict) -> int:
     return 0
 
 
-#: sweep -> (config section, key, ablate list of its values)
-SWEEPS = {
-    "mu": ("loss", "mu_exp", "mu_values"),
-    "splitter": ("ac", "splitter", "splitters"),
-    "kernel": ("ac", "kernel_size", "kernel_sizes"),
-    "weight": ("loss", "lambda2", "weights"),
-}
-
 #: The last epoch's history columns of each ablate row, after the sweep and its value.
 ABLATE_COLUMNS = ("loss_ce", "loss_point", "loss_line", "miou", "trimap_iou", "fmeasure")
 
@@ -257,14 +249,10 @@ ABLATE_COLUMNS = ("loss_ce", "loss_point", "loss_line", "miou", "trimap_iou", "f
 def cmd_ablate(args, cfg: dict) -> int:
     samples = datagen.generate_dataset(config_mod.build_scene_spec(cfg))
     train_set, val_set = _split_train_val(samples, cfg["train"]["val_fraction"])
-    section, name, values = SWEEPS[args.sweep]
+    section, name, values, _ = config_mod.SWEEPS[args.sweep]
     rows = []
     for swept in cfg["ablate"][values]:
-        patch = {section: {name: swept}}
-        if args.sweep == "weight":
-            # The line-loss protocol: the swept value is the line weight, with the point term off.
-            patch["loss"]["lambda1"] = 0.0
-        train_cfg = config_mod.build_train_config(config_mod.merge(cfg, patch))
+        train_cfg = config_mod.sweep_train_config(cfg, args.sweep, swept)
         value = getattr(getattr(train_cfg, section), name)  # as the built config stores it
         _net, history = model.train(train_set, train_cfg, eval_dataset=val_set or None)
         last = history[-1]
@@ -375,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate", help="hyperparameter sweeps, one CSV row per setting")
     common(p)
-    p.add_argument("--sweep", choices=SWEEPS, required=True)
+    p.add_argument("--sweep", choices=config_mod.SWEEPS, required=True)
     p.add_argument("--out", required=True)
     key_flag(p, "--count", "dataset.count", type=int)
     key_flag(p, "--epochs", "train.epochs", type=int)

@@ -8,8 +8,9 @@ SceneSpec, ACConfig, LossConfig and TrainConfig, so there is one set of
 them, and each value is checked by the dataclass that uses it.  A section
 holds its dataclass's fields as the dataclass stores them (the splitter as
 its kind letter, a real value as a number), so it is built by keyword and
-written back by asdict.  A single top-level seed feeds every component
-(see seeding.py for the streams).
+written back by asdict.  The ablate lists feed SWEEPS, the table of `epl
+ablate`'s sweeps.  A single top-level seed feeds every component (see
+seeding.py for the streams).
 """
 
 from __future__ import annotations
@@ -87,14 +88,21 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     return cfg
 
 
-#: Each ablate list's entry check: build what its variant will, so a bad entry
-#: fails before any variant trains.
-_ABLATE_CHECKS = {
-    "mu_values": lambda v: LossConfig(mu_exp=v),
-    "weights": lambda v: LossConfig(lambda2=v),
-    "splitters": lambda v: ACConfig(splitter=v),
-    "kernel_sizes": lambda v: ACConfig(kernel_size=v),
+#: epl ablate's sweeps: sweep -> (config section, key, ablate list of its values,
+#: other keys of that section set for every value).  The weight sweep is the
+#: line-loss protocol: the swept value is the line weight, with the point term off.
+SWEEPS = {
+    "mu": ("loss", "mu_exp", "mu_values", {}),
+    "splitter": ("ac", "splitter", "splitters", {}),
+    "kernel": ("ac", "kernel_size", "kernel_sizes", {}),
+    "weight": ("loss", "lambda2", "weights", {"lambda1": 0.0}),
 }
+
+
+def sweep_train_config(cfg: dict, sweep: str, value) -> model.TrainConfig:
+    """The training config that `epl ablate --sweep sweep` trains for one value."""
+    section, key, _, fixed = SWEEPS[sweep]
+    return build_train_config({**cfg, section: {**cfg[section], **fixed, key: value}})
 
 
 def validate_config(cfg: dict) -> None:
@@ -103,12 +111,12 @@ def validate_config(cfg: dict) -> None:
     try:
         build_scene_spec(cfg)
         build_train_config(cfg)
-        for key, check in _ABLATE_CHECKS.items():
+        for sweep, (_, _, key, _) in SWEEPS.items():
             if not ab[key]:
                 raise ValueError(f"ablate.{key} must be a nonempty list")
             for value in ab[key]:
                 try:
-                    check(value)
+                    sweep_train_config(cfg, sweep, value)
                 except (ValueError, TypeError, OverflowError) as exc:
                     raise ValueError(f"ablate.{key}: {exc}") from None
         vf = tr["val_fraction"]

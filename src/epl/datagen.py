@@ -292,9 +292,15 @@ def write_dataset(out_dir, samples: list[Sample], spec: SceneSpec) -> Path:
 def read_dataset(in_dir) -> tuple[list[Sample], dict]:
     """Load a dataset directory written by write_dataset."""
     path = Path(in_dir) / "manifest.json"
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise io.FormatError(f"{path}: not valid JSON ({exc})") from exc
     stems = manifest.get("samples") if isinstance(manifest, dict) else None
     if not isinstance(stems, list):
         raise io.FormatError(f"{path}: the manifest has no 'samples' list")
+    for stem in stems:
+        if not isinstance(stem, str):
+            raise io.FormatError(f"{path}: 'samples' holds {stem!r}, which is not a file stem")
     samples = [read_sample(path.parent / stem) for stem in stems]
     return samples, manifest

@@ -160,13 +160,12 @@ def ac_adjoint(energy_grad, cfg: ACConfig) -> np.ndarray:
     k, h, w = g.shape[1:]
     r = cfg.radius
     # One direction's planes at a time: padding all |S| at once costs memory and time.
-    pad = _zero_bordered(g[0], r)
+    pad = np.zeros((k, h + 2 * r, w + 2 * r))
     wp = pad.shape[-1]
     flat = pad.reshape(k, -1)
     acc = np.zeros_like(flat)
     for si, (dy, dx) in enumerate(dirs):
-        if si:
-            pad[:, r:r + h, r:r + w] = g[si]
+        pad[:, r:r + h, r:r + w] = g[si]
         for t in range(r + 1):
             _add_at_offset(acc, flat, -t * (dy * wp + dx))
     return acc.reshape(pad.shape)[:, r:r + h, r:r + w].copy()

@@ -28,7 +28,10 @@ are gathered.  At 64x64 with 3 classes, splitter A and kernel 7 that is
 evaluated a block of (direction, class) planes at a time for each level,
 with each float64 temporary capped at LINE_BLOCK_BYTES so a block stays in
 L2.  Both paths keep the summation order of one plane at a time, so the
-results are bit-identical to it.
+results are bit-identical to it.  Each block and level makes one exp call:
+lanes whose argument is at or below EXP_ZERO_BELOW, where exp is exactly 0,
+are set to 0 before it and zeroed after it.  The block's gradient rows are
+added in one go, with the rows of skipped and capped terms zeroed first.
 """
 
 from __future__ import annotations
@@ -54,7 +57,8 @@ LINE_BLOCK_BYTES = 128 * 1024
 
 #: np.exp underflows to exactly 0.0 at or below this (the threshold is
 #: log(2**-1075) = -745.13...).  Lanes that underflow take numpy's slow
-#: scalar path, so the line loss writes their zero without calling exp.
+#: scalar path, so the line loss sets their argument to 0 before its one
+#: exp call and writes their zero after it.
 EXP_ZERO_BELOW = -746.0
 
 #: Ground-truth energies lie in [0, MAX_ENERGY_SPAN): the per-level
@@ -299,8 +303,6 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
     edc_rows = edc.reshape(n_rows, radius)
     grad = np.zeros_like(pred) if want_grad else None
     g_rows = grad.reshape(n_rows, h * w) if want_grad else None
-    counted = np.zeros(edc.shape, dtype=bool)
-    counted_rows = counted.reshape(n_rows, radius)
     step = max(1, LINE_BLOCK_BYTES // max(1, 8 * h * w))
     for r0 in range(0, n_rows, step):
         rows = slice(r0, r0 + step)
@@ -315,10 +317,9 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
             arg = dp_pow * dp
             np.negative(arg, out=arg)
             zero = arg <= EXP_ZERO_BELOW
-            if zero.any():
-                d_hat = np.exp(arg, out=np.zeros_like(arg), where=~zero)
-            else:
-                d_hat = np.exp(arg, out=arg)
+            arg[zero] = 0.0
+            d_hat = np.exp(arg, out=arg)
+            d_hat[zero] = 0.0
             d = np.take(target.luts[t], codes[rows])
             inter = (d * d_hat).sum(axis=1)
             mass = target.mass[t, rows]
@@ -327,7 +328,6 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
                               out=np.full(denom.shape, np.nan), where=ok)
             edc_rows[rows, t] = value
             useful = ok & ~(value >= 1.0)
-            counted_rows[rows, t] = useful
             if not want_grad or not useful.any():
                 continue
             coeff = np.divide(2.0 * c_norm[t, rows], denom * denom,
@@ -339,11 +339,10 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
             term *= mu
             term *= dp_pow
             term *= d_hat
-            if useful.all():
-                g_rows[rows] += term
-            else:
-                for i in np.flatnonzero(useful):
-                    g_rows[r0 + i] += term[i]
+            # grad starts at +0.0 and so is never -0.0: adding the zeroed rows leaves it as is.
+            term[~useful] = 0.0
+            g_rows[rows] += term
+    counted = valid.T.reshape(edc.shape) & ~(edc >= 1.0)
     return edc, counted, grad
 
 

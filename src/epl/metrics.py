@@ -5,7 +5,9 @@ mean_record averages such records over pairs: the one scoring path of both
 `epl eval` and the per-epoch validation metrics of model.train.
 Boundary pixels are label-map pixels with a 4-neighbor of a different
 label; image borders are not boundaries by themselves.  Bands and matching
-tolerances use Chebyshev (8-connected) distance.
+tolerances use Chebyshev (8-connected) distance.  Label maps hold integers
+or booleans, and the class IoUs of mIoU and of each trimap band come from
+one confusion count of the pixels scored.
 
 Each mask of a pair is built once and shared by every width and tolerance.
 ground_truth_side takes the ground truth's transition mask once and builds
@@ -30,28 +32,33 @@ def _check_label_pair(pred, gt):
     g = np.asarray(gt)
     if p.shape != g.shape or p.ndim != 2:
         raise ValueError(f"label maps must be 2-D with equal shapes, got {p.shape} vs {g.shape}")
+    for side, lab in (("prediction", p), ("ground truth", g)):
+        if lab.dtype.kind not in "biu":
+            raise ValueError(f"{side} label map must be integer, got dtype {lab.dtype}")
     return p, g
 
 
 def _class_ious(p, g, num_classes: int) -> np.ndarray:
     """IoU of each class of [0, num_classes) over the pixels given, NaN where both lack it.
 
-    A label outside that range would be scored by no class, so it is
-    rejected, naming the label.
+    One confusion count of (ground truth, prediction) label pairs gives every
+    class's intersection and union.  A label outside that range would be
+    scored by no class, so it is rejected, naming the label.
     """
+    codes = []
     for side, lab in (("prediction", p), ("ground truth", g)):
+        lab = lab.astype(np.intp).ravel()  # a uint8 code g * num_classes + p would wrap
         lo, hi = lab.min(), lab.max()
         if lo < 0 or hi >= num_classes:
             raise ValueError(f"{side} label {lo if lo < 0 else hi} lies outside "
                              f"[0, {num_classes}): the class count must cover every label")
-    ious = np.full(num_classes, np.nan)
-    for c in range(num_classes):
-        pc = p == c
-        gc = g == c
-        union = int(np.logical_or(pc, gc).sum())
-        if union:
-            ious[c] = float(np.logical_and(pc, gc).sum()) / union
-    return ious
+        codes.append(lab)
+    pred, gt = codes
+    counts = np.bincount(gt * num_classes + pred, minlength=num_classes * num_classes)
+    counts = counts.reshape(num_classes, num_classes)
+    inter = np.diagonal(counts)
+    union = counts.sum(axis=0) + counts.sum(axis=1) - inter
+    return np.divide(inter, union, out=np.full(num_classes, np.nan), where=union > 0)
 
 
 def miou(pred_labels, gt_labels, num_classes: int) -> tuple[np.ndarray, float]:
@@ -182,7 +189,7 @@ def boundary_fmeasure(pred_labels, gt_labels, tol: int) -> float:
     boundary pixel of the same class lies within Chebyshev distance tol,
     and symmetrically for recall.  Returns 1 when both boundary sets are
     empty and 0 when exactly one is.  The classes matched are the labels on
-    either boundary, so any label values are accepted.
+    either boundary, so any integer label values are accepted.
     """
     p, g = _check_label_pair(pred_labels, gt_labels)
     trans_p, trans_g = transition_mask(p), transition_mask(g)

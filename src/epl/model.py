@@ -237,7 +237,7 @@ class TinyNet:
             self._ws = _Workspace(shape, self.num_classes)
         return self._ws
 
-    def forward_with_cache(self, image, trace: list | None = None):
+    def forward_with_cache(self, image):
         """Probabilities and the cache for backward_from_probs.
 
         The cache holds workspace buffers: it is valid until the next forward
@@ -247,30 +247,18 @@ class TinyNet:
         ws = self._workspace(x.shape)
         ws.pad1[:, 1:-1, 1:-1] = x
         z1 = _conv3(_gather3(ws.pad1, ws.cols1), self.param("w1"), self.param("b1"), ws.z1)
-        if trace is not None:
-            trace.append("conv3x3")
         np.maximum(z1, 0.0, out=ws.pad2[:, 1:-1, 1:-1])
-        if trace is not None:
-            trace.append("relu")
         z2 = _conv3(_gather3(ws.pad2, ws.cols2), self.param("w2"), self.param("b2"), ws.z2)
-        if trace is not None:
-            trace.append("conv3x3")
         a2 = np.maximum(z2, 0.0, out=ws.a2)
-        if trace is not None:
-            trace.append("relu")
         logits = ws.logits
         np.matmul(self.param("w3"), a2.reshape(HIDDEN, -1), out=logits.reshape(self.num_classes, -1))
         logits += self.param("b3")[:, None, None]
-        if trace is not None:
-            trace.append("conv1x1")
         probs = _softmax(logits)
-        if trace is not None:
-            trace.append("softmax")
         cache = {"cols1": ws.cols1, "z1": z1, "cols2": ws.cols2, "z2": z2, "a2": a2, "probs": probs}
         return probs, cache
 
-    def forward(self, image, trace: list | None = None) -> np.ndarray:
-        probs, _ = self.forward_with_cache(image, trace)
+    def forward(self, image) -> np.ndarray:
+        probs, _ = self.forward_with_cache(image)
         return probs
 
     def backward_from_probs(self, cache: dict, dprobs: np.ndarray) -> np.ndarray:

@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import epl
 from epl import fields, metrics
 
@@ -18,3 +22,19 @@ def test_the_splitter_is_its_kind_string():
 def test_evaluate_pair_returns_a_plain_record():
     assert "EvalReport" not in epl.__all__
     assert not hasattr(epl, "EvalReport") and not hasattr(metrics, "EvalReport")
+
+
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    allowed = set(sys.stdlib_module_names) | {"numpy", "epl"}
+    sources = sorted(Path(epl.__file__).parent.glob("*.py"))
+    assert sources
+    for source in sources:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, f"{source.name} imports {name}"

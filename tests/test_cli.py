@@ -2,7 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +12,14 @@ from epl import datagen, gradcheck, io, model
 from epl.cli import _split_train_val, build_parser, main
 from epl.fields import ACConfig, one_hot, standard_convolve
 from epl.losses import LossConfig, equipotential_line_loss, point_loss
-from epl.config import ConfigError, DEFAULTS, build_train_config, load_config, train_sections
+from epl.config import (
+    DEFAULTS,
+    ConfigError,
+    build_train_config,
+    load_config,
+    sweep_train_config,
+    train_sections,
+)
 
 MISSING = object()  # a sidecar field that is dropped, not set
 
@@ -502,6 +509,18 @@ class TestGradcheckCommand:
 
 
 class TestAblate:
+    @pytest.mark.parametrize("sweep,value,part,expected", [
+        ("mu", 4, "loss", LossConfig(mu_exp=4)),
+        ("splitter", "C", "ac", ACConfig(splitter="C")),
+        ("kernel", 9, "ac", ACConfig(kernel_size=9)),
+        ("weight", 0.25, "loss", LossConfig(lambda1=0.0, lambda2=0.25)),  # point term off
+    ])
+    def test_each_sweep_trains_its_value_and_nothing_else(self, sweep, value, part, expected):
+        cfg = load_config(overrides={"train": {"epochs": 2}})
+        built = sweep_train_config(cfg, sweep, value)
+        assert getattr(built, part) == expected
+        assert built == replace(build_train_config(cfg), **{part: expected})
+
     @pytest.mark.parametrize("sweep,expected_rows",
                              [("mu", 5), ("splitter", 3), ("kernel", 3), ("weight", 5)])
     def test_sweeps_emit_expected_rows(self, tmp_path, tiny_config, sweep, expected_rows):
@@ -728,6 +747,25 @@ class TestErrorPaths:
         where = ("--out", tmp_path / "run") if command == "train" else ("--checkpoint", tmp_path / "ck")
         assert run(command, "--data", data, *where) == 2
         assert "no 'samples' list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "loss"])
+    @pytest.mark.parametrize("manifest,problem", [
+        ({"samples": ["sample_0000", 7]}, "'samples' holds 7, which is not a file stem"),
+        ("{samples: []}", "not valid JSON (Expecting property name"),
+    ], ids=["non-string-stem", "not-json"])
+    def test_a_bad_manifest_exits_2_naming_it(self, tmp_path, capsys, command, manifest,
+                                              problem):
+        data = tmp_path / "data"
+        data.mkdir()
+        text = manifest if isinstance(manifest, str) else json.dumps(manifest)
+        (data / "manifest.json").write_text(text)
+        model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0))
+        where = ("--out", tmp_path / "run") if command == "train" else ("--checkpoint", tmp_path / "ck")
+        assert run(command, "--data", data, *where) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data / 'manifest.json'}: {problem}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run").exists()
 
     def test_loss_rejects_a_flat_sidecar_config(self, tmp_path, tiny_config, capsys):
         data = tmp_path / "data"

@@ -17,6 +17,19 @@ from epl.datagen import (
 from epl.metrics import miou
 
 
+#: manifest.json text -> what read_dataset's error says about it.
+BAD_MANIFESTS = {
+    '{"scene": {}}': "no 'samples' list",
+    '{"samples": "sample_0000"}': "no 'samples' list",
+    '[]': "no 'samples' list",
+    '{"samples": ["sample_0000", 7]}': "'samples' holds 7, which is not a file stem",
+    '{"samples": [null]}': "'samples' holds None, which is not a file stem",
+    '{"samples": [["sample_0000"]]}': "'samples' holds ['sample_0000'], which is not a file stem",
+    '{samples: []}': "not valid JSON (Expecting property name",
+    '': "not valid JSON (Expecting value",
+}
+
+
 def spec(**kw):
     base = dict(kind="adjacent_rects", height=32, width=32, classes=3,
                 noise_sigma=0.1, count=4, seed=0)
@@ -220,8 +233,11 @@ class TestSampleIO:
         assert len(samples) == 3
         assert manifest["scene"]["kind"] == "adjacent_rects"
 
-    @pytest.mark.parametrize("manifest", ['{"scene": {}}', '{"samples": "sample_0000"}', '[]'])
+    @pytest.mark.parametrize("manifest", list(BAD_MANIFESTS))
     def test_manifest_without_a_samples_list_raises(self, tmp_path, manifest):
-        (tmp_path / "manifest.json").write_text(manifest)
-        with pytest.raises(io.FormatError, match="no 'samples' list"):
+        path = tmp_path / "manifest.json"
+        path.write_text(manifest)
+        with pytest.raises(io.FormatError) as exc:
             read_dataset(tmp_path)
+        assert str(exc.value).startswith(f"{path}: ")
+        assert BAD_MANIFESTS[manifest] in str(exc.value)

@@ -16,6 +16,7 @@ from epl.fields import (
 )
 from epl.losses import (
     EMPTY_LEVEL_EPS,
+    EXP_ZERO_BELOW,
     LineTarget,
     LossConfig,
     _int_pow,
@@ -327,6 +328,13 @@ LINE_CASES = {
 }
 
 
+def _offset_with_arg(mu, arg):
+    """A float offset dp from a level whose exp argument -(dp**(mu - 1) * dp) is arg exactly."""
+    x0 = (-arg) ** (1.0 / mu)
+    dps = x0 + np.arange(-4000, 4000) * math.ulp(x0)
+    hits = dps[-(_int_pow(dps, mu - 1) * dps) == arg]
+    assert hits.size, (mu, arg)
+    return float(hits[0])
 
 
 class TestLineLossReference:
@@ -357,6 +365,56 @@ class TestLineLossReference:
         mixed[1] = gt[1]
         mixed[0, 2] = gt[0, 2]
         self._assert_matches(gt, mixed, mu, radius)
+
+    def test_a_block_mixing_counted_capped_and_skipped_rows(self):
+        # 16x16 planes: all 12 rows are one block.  Level 2 of direction 1 is
+        # sharper than the ground truth (capped, EDC > 1) beside counted
+        # terms.  The absent class's rows are skipped at every level, and
+        # their non-finite predictions give a NaN term that must stay out of
+        # the gradient.
+        gt, pred, radius = _ac_case("A", 7, (16, 16), 6, classes=2)
+        gt = np.concatenate([gt, np.zeros_like(gt[:, :1])], axis=1)
+        pred = np.concatenate([pred, np.ones_like(pred[:, :1])], axis=1)
+        pred[1, :2] = 1.3 * gt[1, :2] - 0.6
+        pred[0, 2, 3, 4] = pred[2, 2, 0, 0] = np.nan
+        assert losses.LINE_BLOCK_BYTES // (8 * 16 * 16) >= pred.shape[0] * pred.shape[1]
+        for mu in (2, 10):
+            cfg = LossConfig(mu_exp=mu)
+            raw, counted, _ = losses._line_terms(gt, pred, mu, radius, want_grad=False)
+            assert np.isnan(raw[:, 2]).all() and not counted[:, 2].any()
+            assert (raw[1, :2, 1] > 1.0).all() and not counted[1, :2, 1].any()
+            assert counted[:, :2].any()
+            self._assert_matches(gt, pred, mu, radius)
+            loss = equipotential_line_loss(gt, pred, cfg, radius)
+            assert math.isfinite(loss.value) and np.isfinite(loss.gradient).all()
+            assert not loss.gradient[:, 2].any()
+
+    @pytest.mark.parametrize("mu,arg", [(2, EXP_ZERO_BELOW),
+                                        (10, math.nextafter(EXP_ZERO_BELOW, 0.0))])
+    def test_exp_threshold_lanes(self, monkeypatch, mu, arg):
+        # mu=2 reaches an exp argument of exactly EXP_ZERO_BELOW and mu=10 one
+        # ulp above it; both also see lanes whose exp is subnormal.  With two
+        # rows per block, block 0 underflows on every lane at every level and
+        # block 1 on none.
+        gt, _, radius = _ac_case("A", 5, (8, 8), 5)
+        rng = np.random.default_rng(mu)
+        pred = rng.uniform(0.5, 2.5, gt.shape)  # |dp| < 746**(1/mu) at levels 1 and 2
+        pred[0, :2] = 60.0  # block 0: every lane underflows
+        at = _offset_with_arg(mu, arg)
+        subnormal = 745.0 ** (1.0 / mu)  # exp(-745) is the least subnormal
+        lanes = pred[2].reshape(3, -1)  # blocks 3 and 4
+        lanes[:, 0::4] = 1 - at  # at the threshold at level 1
+        lanes[:, 1::4] = 2 - at  # ... and at level 2
+        lanes[:, 2::8] = 1 - subnormal
+        lanes[:, 3::8] = 2 + 40.0
+        monkeypatch.setattr(losses, "LINE_BLOCK_BYTES", 2 * 8 * 8 * 8)
+        rows = pred.reshape(-1, 2, 64)
+        args = np.stack([-(_int_pow(rows - tau, mu - 1) * (rows - tau)) for tau in (1, 2)])
+        under = args <= EXP_ZERO_BELOW
+        assert under[:, 0].all() and not under[:, 1].any()
+        tiny = np.exp(args)
+        assert (args == arg).any() and ((tiny > 0) & (tiny < np.finfo(float).tiny)).any()
+        self._assert_matches(gt, pred, mu, radius)
 
 
 class TestLineTarget:

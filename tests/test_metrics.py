@@ -216,6 +216,71 @@ class TestBoundaryFMeasure:
         assert boundary_fmeasure(swapped, gt, 0) == 0.0
 
 
+def loop_class_ious(pred, gt, k):
+    """Per-class IoU from one pair of masks per class; NaN where both maps lack it."""
+    out = np.full(k, np.nan)
+    for c in range(k):
+        union = int(np.logical_or(pred == c, gt == c).sum())
+        if union:
+            out[c] = int(np.logical_and(pred == c, gt == c).sum()) / union
+    return out
+
+
+def _uint8_hundred_classes(rng):
+    gt = rng.integers(0, 100, (20, 20), dtype=np.uint8)
+    pred = np.where(rng.random(gt.shape) < 0.6, gt, rng.integers(0, 100, gt.shape)).astype(np.uint8)
+    return pred, gt, 100
+
+
+def _bool_maps(rng):
+    gt = np.zeros((12, 12), dtype=bool)
+    gt[3:9, 2:7] = True
+    return gt ^ (rng.random(gt.shape) < 0.2), gt, 2
+
+
+def _absent_classes(rng):
+    return rng.integers(0, 3, (12, 12)), rng.integers(0, 3, (12, 12)), 6
+
+
+class TestConfusionCount:
+    """The class IoUs of miou and trimap_iou against the loop oracles."""
+
+    @pytest.mark.parametrize("case", [_uint8_hundred_classes, _bool_maps, _absent_classes],
+                             ids=["uint8-100-classes", "bool", "absent-classes"])
+    def test_matches_the_loop_oracles(self, case):
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            pred, gt, k = case(rng)
+            ious, mean = miou(pred, gt, k)
+            npt.assert_array_equal(ious, loop_class_ious(pred, gt, k))
+            assert mean == loop_miou(pred, gt, k)
+            for width in (1, 3):
+                assert trimap_iou(pred, gt, k, width) == _loop_trimap(pred, gt, k, width)
+            record = evaluate_pair(pred, gt, k, [1, 3], [1])
+            assert record["miou"] == mean
+            assert [record["trimap_iou"][w] for w in "13"] == [
+                _loop_trimap(pred, gt, k, w) for w in (1, 3)]
+
+    def test_absent_classes_are_nan(self):
+        pred, gt, k = _absent_classes(np.random.default_rng(12))
+        ious, _ = miou(pred, gt, k)
+        assert np.isnan(ious[3:]).all() and not np.isnan(ious[:3]).any()
+
+    @pytest.mark.parametrize("score", [
+        lambda p, g: miou(p, g, 2),
+        lambda p, g: trimap_iou(p, g, 2, 1),
+        lambda p, g: boundary_fmeasure(p, g, 1),
+        lambda p, g: evaluate_pair(p, g, 2, [1], [1]),
+    ], ids=["miou", "trimap_iou", "boundary_fmeasure", "evaluate_pair"])
+    @pytest.mark.parametrize("side", ["prediction", "ground truth"])
+    def test_a_float_label_map_raises_naming_its_dtype(self, score, side):
+        lab = np.zeros((6, 6), dtype=int)
+        lab[:, 3:] = 1
+        pred, gt = (lab.astype(float), lab) if side == "prediction" else (lab, lab.astype(float))
+        with pytest.raises(ValueError, match=f"{side} label map must be integer, got dtype float64"):
+            score(pred, gt)
+
+
 class TestRelabelInvariance:
     def test_consistent_permutation_leaves_metrics_unchanged(self):
         rng = np.random.default_rng(7)
