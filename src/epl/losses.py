@@ -108,12 +108,13 @@ class LossValue:
     gradient: np.ndarray | None
 
 
-def point_loss(e_gt, e_pred, cfg: LossConfig) -> LossValue:
+def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True) -> LossValue:
     """Direction-averaged L1/L2 regression between two potential-field sets.
 
     With delta = gt - pred, the value is sum |delta| (or delta**2) divided by
     the direction count |S| and by the element count K * H * W of one
-    direction.  The gradient w.r.t. the prediction is returned.
+    direction.  The gradient w.r.t. the prediction is returned, or None
+    with want_grad False.
     """
     gt = np.asarray(e_gt)  # gt - pred promotes a uint8 ground truth exactly, with no copy
     pred = np.asarray(e_pred, dtype=np.float64)
@@ -125,10 +126,10 @@ def point_loss(e_gt, e_pred, cfg: LossConfig) -> LossValue:
     scale = 1.0 / gt.shape[0] / delta[0].size
     if cfg.norm == "l1":
         value = float(np.abs(delta).sum() * scale)
-        grad = -np.sign(delta) * scale
+        grad = -np.sign(delta) * scale if want_grad else None
     else:
         value = float((delta * delta).sum() * scale)
-        grad = -2.0 * scale * delta
+        grad = -2.0 * scale * delta if want_grad else None
     return LossValue(value, grad)
 
 
@@ -332,15 +333,19 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
                 continue
             coeff = np.divide(2.0 * c_norm[t, rows], denom * denom,
                               out=np.zeros(denom.shape), where=ok)
-            # coeff * (d * denom - inter) * mu * dp_pow * d_hat, in place.
+            # coeff * (d * denom - inter) * mu * dp_pow * d_hat, in place.  Skipped and
+            # capped rows take no gradient: zeroing their dp_pow keeps a +-inf prediction
+            # there out of a 0 * inf, and zeroing their terms last drops a NaN one.  grad
+            # starts at +0.0 and so is never -0.0: adding the zeroed rows leaves it as is.
+            idle = ~useful
+            dp_pow[idle] = 0.0
             term = np.multiply(d, denom[:, None], out=d)
             term -= inter[:, None]
             np.multiply(coeff[:, None], term, out=term)
             term *= mu
             term *= dp_pow
             term *= d_hat
-            # grad starts at +0.0 and so is never -0.0: adding the zeroed rows leaves it as is.
-            term[~useful] = 0.0
+            term[idle] = 0.0
             g_rows[rows] += term
     counted = valid.T.reshape(edc.shape) & ~(edc >= 1.0)
     return edc, counted, grad
@@ -378,11 +383,12 @@ def equipotential_dice(gt, e_pred, cfg: LossConfig, radius: int) -> np.ndarray:
     return np.minimum(edc, 1.0)
 
 
-def cross_entropy_loss(pred, labels) -> LossValue:
+def cross_entropy_loss(pred, labels, want_grad: bool = True) -> LossValue:
     """Mean per-pixel negative log probability of the true class.
 
     Probabilities are clamped to PROB_CLAMP before the log; in the clamped
-    region the gradient is zero (the clamp is flat there).
+    region the gradient is zero (the clamp is flat there).  With want_grad
+    False the gradient is not built and is None.
     """
     p = np.asarray(pred, dtype=np.float64)
     lab = np.asarray(labels)
@@ -397,6 +403,8 @@ def cross_entropy_loss(pred, labels) -> LossValue:
     clamped = np.maximum(picked, PROB_CLAMP)
     n = lab.size
     value = float(-np.log(clamped).sum() / n)
+    if not want_grad:
+        return LossValue(value, None)
     grad_flat = np.zeros_like(flat)
     grad_flat[lab.ravel(), cols] = np.where(picked > PROB_CLAMP, -1.0 / (n * clamped), 0.0)
     return LossValue(value, grad_flat.reshape(p.shape))

@@ -9,15 +9,22 @@ tolerances use Chebyshev (8-connected) distance.  Label maps hold integers
 or booleans, and the class IoUs of mIoU and of each trimap band come from
 one confusion count of the pixels scored.
 
+chebyshev_dilate grows a mask by doubling: each axis ORs in shifts of 1,
+2, 4, ... and then the remainder, so a reach of d takes ceil(log2(d + 1))
+steps per axis.  A dilation by a followed by one by b is the dilation by
+a + b, so the masks of several widths or tolerances are chained: each is
+grown from the one before by the difference of their distances.
+
 Each mask of a pair is built once and shared by every width and tolerance.
-ground_truth_side takes the ground truth's transition mask once and builds
-each trimap band and the per-class boundary planes from it.  evaluate_pair
-takes the prediction's transition mask and boundary planes once, stacks
-them on the ground truth's as one (2 * classes, H, W) array, and dilates
-that stack in one chebyshev_dilate call per tolerance.  `epl eval` builds
-the ground-truth side per pair; model.train builds it once per run for each
-validation sample.  trimap_iou and boundary_fmeasure score one width or
-tolerance through the same helpers.
+ground_truth_side takes the ground truth's transition mask once and chains
+the trimap bands from it; the per-class boundary planes come from it too.
+evaluate_pair takes the prediction's transition mask and boundary planes
+once, stacks them on the ground truth's as one (2 * classes, H, W) array,
+and chains that stack through every tolerance, one chebyshev_dilate call
+per tolerance.  `epl eval` builds the ground-truth side per pair;
+model.train builds it once per run for each validation sample.  trimap_iou
+and boundary_fmeasure score one width or tolerance through the same
+helpers.
 """
 
 from __future__ import annotations
@@ -87,24 +94,44 @@ def chebyshev_dilate(mask, dist: int) -> np.ndarray:
     """Grow a boolean mask to all pixels within Chebyshev distance dist.
 
     A Chebyshev ball is a row interval times a column interval: a row pass,
-    then a column pass, each ORs shifted slices in place.
+    then a column pass, both in place on one fresh copy.  At reach r a pass
+    ORs the copy with itself shifted by s <= r + 1 both ways, so no gap
+    opens and the reach becomes r + s: s doubles (1, 2, 4, ...) and the
+    remainder comes last, so a reach of d takes ceil(log2(d + 1)) steps of
+    two slice ORs.
     """
-    m = np.asarray(mask, dtype=bool)
-    rows = m.copy()
-    for t in range(1, min(dist, m.shape[-1] - 1) + 1):
-        rows[..., t:] |= m[..., :-t]
-        rows[..., :-t] |= m[..., t:]
-    out = rows.copy()
-    for t in range(1, min(dist, m.shape[-2] - 1) + 1):
-        out[..., t:, :] |= rows[..., :-t, :]
-        out[..., :-t, :] |= rows[..., t:, :]
+    out = np.array(mask, dtype=bool)
+    for view in (out, np.swapaxes(out, -1, -2)):
+        full = min(dist, view.shape[-1] - 1)
+        reach = 0
+        while reach < full:
+            s = min(reach + 1, full - reach)
+            view[..., s:] |= view[..., :-s]
+            view[..., :-s] |= view[..., s:]
+            reach += s
     return out
 
 
-def _band(trans: np.ndarray, width: int) -> np.ndarray:
-    if width < 1:
-        raise ValueError(f"band width must be >= 1, got {width}")
-    return chebyshev_dilate(trans, width)
+def _dilations(mask: np.ndarray, dists) -> dict:
+    """{d: chebyshev_dilate(mask, d)} for each distinct d, each grown from the last.
+
+    The distances are taken in ascending order, and each dilation grows the
+    previous one by the difference: one chebyshev_dilate call per distance.
+    """
+    out, grown, done = {}, mask, 0
+    for d in sorted(set(dists)):
+        grown = out[d] = chebyshev_dilate(grown, d - done)
+        done = d
+    return out
+
+
+def _bands(trans: np.ndarray, widths) -> dict:
+    """{w: band of width w} in the order given, the bands chained from trans."""
+    for w in widths:
+        if w < 1:
+            raise ValueError(f"band width must be >= 1, got {w}")
+    bands = _dilations(trans, widths)
+    return {w: bands[w] for w in widths}
 
 
 def _boundary_planes(labels: np.ndarray, trans: np.ndarray, classes) -> np.ndarray:
@@ -114,7 +141,7 @@ def _boundary_planes(labels: np.ndarray, trans: np.ndarray, classes) -> np.ndarr
 
 def boundary_band(gt_labels, width: int) -> np.ndarray:
     """Mask of pixels within Chebyshev distance width of a label transition."""
-    return _band(transition_mask(gt_labels), width)
+    return _bands(transition_mask(gt_labels), (width,))[width]
 
 
 @dataclass(frozen=True)
@@ -132,14 +159,14 @@ class GroundTruthSide:
 def ground_truth_side(gt_labels, num_classes: int, trimap_widths) -> GroundTruthSide:
     """The ground-truth masks of evaluate_pair for classes 0..num_classes-1, built once.
 
-    The transition mask is taken once; each band and the per-class boundary
-    planes come from it.  Labels do not change, so a caller scoring many
-    predictions against one map builds this once and passes it to
-    evaluate_pair.
+    The transition mask is taken once; the bands are chained from it and
+    the per-class boundary planes come from it.  Labels do not change, so a
+    caller scoring many predictions against one map builds this once and
+    passes it to evaluate_pair.
     """
     g = np.asarray(gt_labels)
     trans = transition_mask(g)
-    return GroundTruthSide(bands={w: _band(trans, w) for w in map(int, trimap_widths)},
+    return GroundTruthSide(bands=_bands(trans, [int(w) for w in trimap_widths]),
                            planes=_boundary_planes(g, trans, np.arange(num_classes)))
 
 
@@ -150,27 +177,29 @@ def _trimap(p, g, num_classes: int, band: np.ndarray) -> float:
     return float(np.mean(ious[~np.isnan(ious)]))
 
 
-def _fmeasure(stack: np.ndarray, tol: int) -> float:
-    """Class-matched boundary F of the stacked per-class boundary planes of both sides.
+def _fmeasures(stack: np.ndarray, tols) -> dict:
+    """{tol: class-matched boundary F} of the stacked per-class boundary planes of both sides.
 
     stack is (2n, H, W): the prediction's planes of n classes, then the
-    ground truth's planes of the same classes.  One chebyshev_dilate call
-    grows both sides; the hits are counts of pixels.
+    ground truth's planes of the same classes.  The reaches of both sides
+    are chained through the tolerances, one chebyshev_dilate call each; the
+    hits are counts of pixels.
     """
-    if tol < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tol}")
-    pred, gt = np.split(stack, 2)
+    for t in tols:
+        if t < 0:
+            raise ValueError(f"tolerance must be >= 0, got {t}")
+    n = len(stack) // 2
+    pred, gt = stack[:n], stack[n:]
     n_pred, n_gt = np.count_nonzero(pred), np.count_nonzero(gt)
-    if n_pred == 0 and n_gt == 0:
-        return 1.0
     if n_pred == 0 or n_gt == 0:
-        return 0.0
-    reach_pred, reach_gt = np.split(chebyshev_dilate(stack, tol), 2)
-    precision = np.count_nonzero(pred & reach_gt) / n_pred
-    recall = np.count_nonzero(gt & reach_pred) / n_gt
-    if precision + recall == 0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+        return {t: 1.0 if n_pred == n_gt else 0.0 for t in tols}  # 1 when both are empty
+    reaches = _dilations(stack, tols)
+    out = {}
+    for t in tols:
+        precision = np.count_nonzero(pred & reaches[t][n:]) / n_pred
+        recall = np.count_nonzero(gt & reaches[t][:n]) / n_gt
+        out[t] = 0.0 if precision + recall == 0 else 2.0 * precision * recall / (precision + recall)
+    return out
 
 
 def trimap_iou(pred_labels, gt_labels, num_classes: int, width: int) -> float:
@@ -194,8 +223,8 @@ def boundary_fmeasure(pred_labels, gt_labels, tol: int) -> float:
     p, g = _check_label_pair(pred_labels, gt_labels)
     trans_p, trans_g = transition_mask(p), transition_mask(g)
     classes = np.union1d(p[trans_p], g[trans_g])
-    return _fmeasure(np.concatenate((_boundary_planes(p, trans_p, classes),
-                                     _boundary_planes(g, trans_g, classes))), tol)
+    return _fmeasures(np.concatenate((_boundary_planes(p, trans_p, classes),
+                                      _boundary_planes(g, trans_g, classes))), (tol,))[tol]
 
 
 def evaluate_pair(pred_labels, gt_labels, num_classes: int, trimap_widths, f_tolerances,
@@ -207,7 +236,8 @@ def evaluate_pair(pred_labels, gt_labels, num_classes: int, trimap_widths, f_tol
     for NaN.  gt_side is ground_truth_side(gt_labels, num_classes, widths)
     for these widths or more; it is built here when not given.  The
     prediction's boundary planes are built once and stacked on the ground
-    truth's, and each tolerance dilates that stack in one call.
+    truth's, and that stack is chained through the tolerances, one dilation
+    call each.
     """
     def clean(x: float) -> float | None:
         return None if np.isnan(x) else x
@@ -223,11 +253,12 @@ def evaluate_pair(pred_labels, gt_labels, num_classes: int, trimap_widths, f_tol
                          f"{g.shape[1]}) and {widths}")
     stack = np.concatenate((_boundary_planes(p, transition_mask(p), np.arange(num_classes)),
                             gt_side.planes))
+    fs = _fmeasures(stack, [int(t) for t in f_tolerances])
     return {
         "per_class_iou": [clean(float(v)) for v in ious],
         "miou": clean(mean),
         "trimap_iou": {str(w): clean(_trimap(p, g, num_classes, gt_side.bands[w])) for w in widths},
-        "boundary_f": {str(t): clean(_fmeasure(stack, t)) for t in map(int, f_tolerances)},
+        "boundary_f": {str(t): clean(f) for t, f in fs.items()},
     }
 
 

@@ -324,20 +324,20 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
     converter's adjoint.  A potential term is evaluated only when its
     weight is positive, and reads 0.0 otherwise.  target is
     ground_truth(labels, ...); it is built here when needed and not given.
-    With want_grad False only the terms are computed (the line loss without
-    its gradient, nothing through the adjoint), and the gradient is None.
+    With want_grad False only the terms are computed (no loss builds its
+    gradient, nothing runs through the adjoint), and the gradient is None.
     """
     loss = cfg.loss
-    ce = cross_entropy_loss(probs, labels)
+    ce = cross_entropy_loss(probs, labels, want_grad=want_grad)
     terms = {"ce": ce.value, "point": 0.0, "line": 0.0}
-    dprobs = ce.gradient if want_grad else None
+    dprobs = ce.gradient
     if loss.lambda1 > 0 or loss.lambda2 > 0:
         if target is None:
             target = ground_truth(labels, probs.shape[0], cfg)
         e_pred = convert(probs, cfg)
         e_grad = np.zeros_like(e_pred) if want_grad else None
         if loss.lambda1 > 0:
-            pt = point_loss(target.energies, e_pred, loss)
+            pt = point_loss(target.energies, e_pred, loss, want_grad=want_grad)
             terms["point"] = pt.value
             if want_grad:
                 e_grad += loss.lambda1 * pt.gradient

@@ -89,6 +89,15 @@ class TestPointLoss:
         with pytest.raises(ValueError):
             point_loss(np.zeros((4, 1, 2, 2)), np.zeros((4, 1, 3, 3)), LossConfig())
 
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_value_only_call_gives_the_value_and_no_gradient(self, norm):
+        for seed in range(3):
+            gt, pred, cfg = random_energies(seed), random_energies(seed + 10), LossConfig(norm=norm)
+            full = point_loss(gt, pred, cfg)
+            value_only = point_loss(gt, pred, cfg, want_grad=False)
+            assert value_only.value == full.value and full.gradient is not None
+            assert value_only.gradient is None
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 1000))
     def test_nonnegative_and_zero_iff_equal(self, seed):
@@ -389,6 +398,23 @@ class TestLineLossReference:
             assert math.isfinite(loss.value) and np.isfinite(loss.gradient).all()
             assert not loss.gradient[:, 2].any()
 
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    @pytest.mark.parametrize("mu", [2, 10])
+    def test_an_infinite_prediction_in_a_skipped_row(self, inf, mu):
+        # Class 2 is absent from the labels, so its rows are skipped at every
+        # level; an infinite prediction there must neither warn (the suite
+        # turns warnings into errors) nor reach the value or the gradient.
+        gt, pred, radius = _ac_case("A", 7, (16, 16), 6, classes=2)
+        gt = np.concatenate([gt, np.zeros_like(gt[:, :1])], axis=1)
+        pred = np.concatenate([pred, np.full_like(pred[:, :1], 0.5)], axis=1)
+        cfg = LossConfig(mu_exp=mu)
+        finite = equipotential_line_loss(gt, pred, cfg, radius)
+        pred[:, 2, 0, 0] = inf
+        loss = equipotential_line_loss(gt, pred, cfg, radius)
+        assert loss.value == finite.value
+        npt.assert_array_equal(loss.gradient, finite.gradient)
+        assert not loss.gradient[:, 2].any()
+
     @pytest.mark.parametrize("mu,arg", [(2, EXP_ZERO_BELOW),
                                         (10, math.nextafter(EXP_ZERO_BELOW, 0.0))])
     def test_exp_threshold_lanes(self, monkeypatch, mu, arg):
@@ -495,6 +521,17 @@ class TestCrossEntropy:
         out = cross_entropy_loss(pred, lab)
         assert np.isfinite(out.value)
         assert np.isfinite(out.gradient).all()
+
+    def test_value_only_call_gives_the_value_and_no_gradient(self):
+        rng = np.random.default_rng(2)
+        lab = rng.integers(0, 3, (7, 5))
+        raw = rng.uniform(0.0, 1.0, (3, 7, 5))
+        raw[0, 0, 0] = 0.0  # a clamped pixel
+        probs = raw / raw.sum(axis=0)
+        full = cross_entropy_loss(probs, lab)
+        value_only = cross_entropy_loss(probs, lab, want_grad=False)
+        assert value_only.value == full.value and full.gradient is not None
+        assert value_only.gradient is None
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):

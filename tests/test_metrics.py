@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from epl import metrics
 from epl.config import DEFAULTS
 from epl.metrics import (
     boundary_band,
@@ -503,7 +504,8 @@ class TestChebyshevDilate:
         rng = np.random.default_rng(shape[0] * 100 + shape[1])
         for density in (0.02, 0.1, 0.5):
             mask = rng.random(shape) < density
-            for dist in (0, 1, 2, 3, 5, max(shape) - 1, max(shape), max(shape) + 4):
+            doubling = (2 ** k + j for k in (2, 3, 4, 5) for j in (-1, 0, 1))
+            for dist in (0, 1, 2, 3, 5, *doubling, max(shape) - 1, max(shape), max(shape) + 4):
                 grown = chebyshev_dilate(mask, dist)
                 assert grown.dtype == bool
                 npt.assert_array_equal(grown, brute_dilate(mask, dist),
@@ -514,3 +516,75 @@ class TestChebyshevDilate:
         masks = np.random.default_rng(4).random((3, 9, 8)) < 0.1
         npt.assert_array_equal(chebyshev_dilate(masks, 2),
                                [brute_dilate(m, 2) for m in masks])
+
+
+def brute_fmeasure(pred, gt, k, tol):
+    """Class-matched boundary F with every reach taken by brute_dilate."""
+    trans_p, trans_g = transition_mask(pred), transition_mask(gt)
+    hits_p = hits_g = 0
+    for c in range(k):
+        bp, bg = trans_p & (pred == c), trans_g & (gt == c)
+        hits_p += np.count_nonzero(bp & brute_dilate(bg, tol))
+        hits_g += np.count_nonzero(bg & brute_dilate(bp, tol))
+    n_p, n_g = np.count_nonzero(trans_p), np.count_nonzero(trans_g)
+    if n_p == 0 or n_g == 0:
+        return float(n_p == n_g)
+    precision, recall = hits_p / n_p, hits_g / n_g
+    return 0.0 if precision + recall == 0 else 2.0 * precision * recall / (precision + recall)
+
+
+class TestChainedReaches:
+    """Bands and tolerances grown one from the last match a dilation of each alone."""
+
+    WIDTHS = [10, 3, 1, 3, 40, 2]  # out of order, duplicated, beyond the image
+    TOLERANCES = [5, 0, 3, 0, 40, 1]
+
+    @staticmethod
+    def maps():
+        rng = np.random.default_rng(12)
+        for shape in ((9, 7), (1, 12), (16, 16)):
+            gt = np.kron(rng.integers(0, 3, (shape[0], shape[1] // 2 + 1)), [1, 1])[:, :shape[1]]
+            yield rng.integers(0, 3, shape), gt
+
+    def test_bands_match_brute_force(self):
+        for _, gt in self.maps():
+            side = ground_truth_side(gt, 3, self.WIDTHS)
+            assert list(side.bands) == [10, 3, 1, 40, 2]
+            for w, band in side.bands.items():
+                npt.assert_array_equal(band, brute_dilate(transition_mask(gt), w), err_msg=f"{w}")
+
+    def test_record_matches_brute_force_in_the_order_given(self):
+        for pred, gt in self.maps():
+            record = evaluate_pair(pred, gt, 3, self.WIDTHS, self.TOLERANCES)
+            assert list(record["trimap_iou"]) == ["10", "3", "1", "40", "2"]
+            assert list(record["boundary_f"]) == ["5", "0", "3", "40", "1"]
+            for t in set(self.TOLERANCES):
+                assert record["boundary_f"][str(t)] == brute_fmeasure(pred, gt, 3, t)
+            for w in set(self.WIDTHS):
+                oracle = _loop_trimap(pred, gt, 3, w)
+                assert record["trimap_iou"][str(w)] == (None if np.isnan(oracle) else oracle)
+
+    def test_one_dilation_per_distinct_width_and_tolerance(self, monkeypatch):
+        calls = []
+        real = metrics.chebyshev_dilate
+
+        def spy(mask, dist):
+            calls.append(dist)
+            return real(mask, dist)
+
+        monkeypatch.setattr(metrics, "chebyshev_dilate", spy)
+        pred, gt = next(self.maps())
+        evaluate_pair(pred, gt, 3, **DEFAULTS["eval"])
+        assert len(calls) == 8
+        calls.clear()
+        evaluate_pair(pred, gt, 3, self.WIDTHS, self.TOLERANCES)
+        assert sorted(calls) == sorted([1, 1, 1, 7, 30] + [0, 1, 2, 2, 35])
+
+    @pytest.mark.parametrize("widths,tols,message", [
+        ([10, 3, 0], [1], r"^band width must be >= 1, got 0$"),
+        ([3], [10, 0, -1, 3], r"^tolerance must be >= 0, got -1$"),
+    ], ids=["width", "tolerance"])
+    def test_a_bad_distance_among_good_ones_raises(self, widths, tols, message):
+        pred, gt = next(self.maps())
+        with pytest.raises(ValueError, match=message):
+            evaluate_pair(pred, gt, 3, widths, tols)

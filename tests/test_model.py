@@ -190,7 +190,16 @@ class TestBackward:
             raise AssertionError("the adjoint ran")
 
         monkeypatch.setattr(model, "_convert_adjoint", no_adjoint)
+        built = []
+        for name in ("cross_entropy_loss", "point_loss", "equipotential_line_loss"):
+            def spy(*args, real=getattr(model, name), **kwargs):
+                out = real(*args, **kwargs)
+                built.append(out.gradient is not None)
+                return out
+
+            monkeypatch.setattr(model, name, spy)
         assert model.objective(probs, s.labels, cfg, want_grad=False) == (terms, None)
+        assert built == [False] * (1 + (weights[0] > 0) + (weights[1] > 0))
 
     def test_non_finite_parameters_raise(self):
         s = tiny_sample()
