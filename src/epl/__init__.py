@@ -34,11 +34,9 @@ from .losses import (
     point_loss,
 )
 from .metrics import (
-    GroundTruthSide,
     boundary_band,
     boundary_fmeasure,
     evaluate_pair,
-    ground_truth_side,
     mean_record,
     miou,
     trimap_iou,
@@ -50,7 +48,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACConfig",
     "GradReport",
-    "GroundTruthSide",
     "LineRegions",
     "LineTarget",
     "LossConfig",
@@ -72,7 +69,6 @@ __all__ = [
     "evaluate_pair",
     "finite_diff_gradient",
     "generate_dataset",
-    "ground_truth_side",
     "line_target",
     "mean_record",
     "miou",

@@ -16,20 +16,14 @@ a + b, so the masks of several widths or tolerances are chained: each is
 grown from the one before by the difference of their distances.
 
 Each mask of a pair is built once and shared by every width and tolerance.
-ground_truth_side takes the ground truth's transition mask once and chains
-the trimap bands from it; the per-class boundary planes come from it too.
-evaluate_pair takes the prediction's transition mask and boundary planes
-once, stacks them on the ground truth's as one (2 * classes, H, W) array,
-and chains that stack through every tolerance, one chebyshev_dilate call
-per tolerance.  `epl eval` builds the ground-truth side per pair;
-model.train builds it once per run for each validation sample.  trimap_iou
-and boundary_fmeasure score one width or tolerance through the same
-helpers.
+evaluate_pair takes each side's transition mask once: the trimap bands are
+chained from the ground truth's, and the per-class boundary planes of both
+sides are stacked as one (2 * classes, H, W) array and chained through
+every tolerance, one chebyshev_dilate call per tolerance.  trimap_iou and
+boundary_fmeasure score one width or tolerance through the same helpers.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -144,32 +138,6 @@ def boundary_band(gt_labels, width: int) -> np.ndarray:
     return _bands(transition_mask(gt_labels), (width,))[width]
 
 
-@dataclass(frozen=True)
-class GroundTruthSide:
-    """The masks scoring needs from one ground-truth label map; see ground_truth_side.
-
-    ``bands[w]`` is the trimap band of width w and ``planes`` the (classes,
-    H, W) boundary pixels of each class.
-    """
-
-    bands: dict
-    planes: np.ndarray
-
-
-def ground_truth_side(gt_labels, num_classes: int, trimap_widths) -> GroundTruthSide:
-    """The ground-truth masks of evaluate_pair for classes 0..num_classes-1, built once.
-
-    The transition mask is taken once; the bands are chained from it and
-    the per-class boundary planes come from it.  Labels do not change, so a
-    caller scoring many predictions against one map builds this once and
-    passes it to evaluate_pair.
-    """
-    g = np.asarray(gt_labels)
-    trans = transition_mask(g)
-    return GroundTruthSide(bands=_bands(trans, [int(w) for w in trimap_widths]),
-                           planes=_boundary_planes(g, trans, np.arange(num_classes)))
-
-
 def _trimap(p, g, num_classes: int, band: np.ndarray) -> float:
     if not band.any():
         return float("nan")
@@ -227,17 +195,14 @@ def boundary_fmeasure(pred_labels, gt_labels, tol: int) -> float:
                                       _boundary_planes(g, trans_g, classes))), (tol,))[tol]
 
 
-def evaluate_pair(pred_labels, gt_labels, num_classes: int, trimap_widths, f_tolerances,
-                  gt_side: GroundTruthSide | None = None) -> dict:
+def evaluate_pair(pred_labels, gt_labels, num_classes: int, trimap_widths, f_tolerances) -> dict:
     """Full metric sweep for one pair at the eval section's widths and tolerances.
 
     Returns the record `epl eval` writes: per_class_iou, miou, and trimap_iou
     and boundary_f keyed by the width or tolerance as a string, with None
-    for NaN.  gt_side is ground_truth_side(gt_labels, num_classes, widths)
-    for these widths or more; it is built here when not given.  The
-    prediction's boundary planes are built once and stacked on the ground
-    truth's, and that stack is chained through the tolerances, one dilation
-    call each.
+    for NaN.  The trimap bands are chained from the ground truth's
+    transition mask, and the boundary planes of both sides are stacked and
+    chained through the tolerances, one dilation call each.
     """
     def clean(x: float) -> float | None:
         return None if np.isnan(x) else x
@@ -245,19 +210,16 @@ def evaluate_pair(pred_labels, gt_labels, num_classes: int, trimap_widths, f_tol
     widths = [int(w) for w in trimap_widths]
     ious, mean = miou(pred_labels, gt_labels, num_classes)
     p, g = np.asarray(pred_labels), np.asarray(gt_labels)
-    if gt_side is None:
-        gt_side = ground_truth_side(g, num_classes, widths)
-    elif gt_side.planes.shape != (num_classes, *g.shape) or not gt_side.bands.keys() >= set(widths):
-        raise ValueError(f"gt_side has planes of shape {gt_side.planes.shape} and widths "
-                         f"{sorted(gt_side.bands)}; this pair needs ({num_classes}, {g.shape[0]}, "
-                         f"{g.shape[1]}) and {widths}")
-    stack = np.concatenate((_boundary_planes(p, transition_mask(p), np.arange(num_classes)),
-                            gt_side.planes))
+    trans_g = transition_mask(g)
+    bands = _bands(trans_g, widths)
+    classes = np.arange(num_classes)
+    stack = np.concatenate((_boundary_planes(p, transition_mask(p), classes),
+                            _boundary_planes(g, trans_g, classes)))
     fs = _fmeasures(stack, [int(t) for t in f_tolerances])
     return {
         "per_class_iou": [clean(float(v)) for v in ious],
         "miou": clean(mean),
-        "trimap_iou": {str(w): clean(_trimap(p, g, num_classes, gt_side.bands[w])) for w in widths},
+        "trimap_iou": {str(w): clean(_trimap(p, g, num_classes, bands[w])) for w in widths},
         "boundary_f": {str(t): clean(f) for t, f in fs.items()},
     }
 

@@ -366,16 +366,12 @@ def backward(net: TinyNet, image, labels, cfg: TrainConfig, target: LineTarget |
     return terms, net.backward_from_probs(cache, dprobs)
 
 
-def _epoch_metrics(net: TinyNet, samples, gt_sides) -> dict:
-    """The history columns of the samples' metrics.mean_record (a None trimap is NaN).
-
-    gt_sides holds each sample's metrics.ground_truth_side at the history's
-    trimap width.
-    """
+def _epoch_metrics(net: TinyNet, samples) -> dict:
+    """The history columns of the samples' metrics.mean_record (a None trimap is NaN)."""
     mean = metrics.mean_record(
         metrics.evaluate_pair(np.argmax(net.forward(s.image), axis=0), s.labels, net.num_classes,
-                              (HISTORY_TRIMAP_WIDTH,), (HISTORY_F_TOL,), gt_side)
-        for s, gt_side in zip(samples, gt_sides))
+                              (HISTORY_TRIMAP_WIDTH,), (HISTORY_F_TOL,))
+        for s in samples)
     (trimap,), (fmeasure,) = mean["trimap_iou"].values(), mean["boundary_f"].values()
     return {"miou": mean["miou"], "trimap_iou": float("nan") if trimap is None else trimap,
             "fmeasure": fmeasure}
@@ -388,9 +384,8 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
     steps plus mIoU / trimap IoU / boundary F of the current net on
     `eval_dataset` (the training set when none is given).  The net has a
     class for every label up to the largest of either set.  Labels never
-    change, so the loss targets and the ground-truth side of each evaluation
-    sample's metrics are built once per run.  Runs are deterministic for a
-    fixed config.
+    change, so the loss targets are built once per run.  Runs are
+    deterministic for a fixed config.
     """
     samples = list(dataset)
     eval_samples = samples if eval_dataset is None else list(eval_dataset)
@@ -401,8 +396,6 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
     velocity = np.zeros_like(net.theta)
     potential = cfg.loss.lambda1 > 0 or cfg.loss.lambda2 > 0
     targets = [ground_truth(s.labels, num_classes, cfg) if potential else None for s in samples]
-    gt_sides = [metrics.ground_truth_side(s.labels, num_classes, (HISTORY_TRIMAP_WIDTH,))
-                for s in eval_samples]
     history = []
     for epoch in range(cfg.epochs):
         order = seeding.stream(cfg.seed, seeding.STREAM_TRAIN_SHUFFLE, epoch).permutation(len(samples))
@@ -426,7 +419,7 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
             net.theta += velocity
         record = {"epoch": epoch}
         record.update({f"loss_{k}": sums[k] / len(order) for k in ("ce", "point", "line", "total")})
-        record.update(_epoch_metrics(net, eval_samples, gt_sides))
+        record.update(_epoch_metrics(net, eval_samples))
         history.append(record)
     return net, history
 
@@ -448,7 +441,13 @@ def save_checkpoint(stem, net: TinyNet, config: dict | None = None) -> None:
 
 def load_checkpoint(stem):
     stem = str(stem)
-    sidecar = json.loads(Path(stem + ".json").read_text(encoding="utf-8"))
+    path = stem + ".json"
+    try:
+        sidecar = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise io.FormatError(f"{path}: not valid JSON ({exc})") from exc
+    if not isinstance(sidecar, dict):
+        raise io.FormatError(f"{path}: the sidecar is not a JSON object")
     for field, expected in (("architecture", ARCHITECTURE), ("hidden", HIDDEN)):
         if sidecar.get(field) != expected:
             raise io.FormatError(

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import sys
 from pathlib import Path
 
@@ -22,6 +23,13 @@ def test_the_splitter_is_its_kind_string():
 def test_evaluate_pair_returns_a_plain_record():
     assert "EvalReport" not in epl.__all__
     assert not hasattr(epl, "EvalReport") and not hasattr(metrics, "EvalReport")
+
+
+def test_evaluate_pair_scores_each_pair_from_its_own_labels():
+    assert not {"GroundTruthSide", "ground_truth_side"} & set(epl.__all__)
+    for name in ("GroundTruthSide", "ground_truth_side"):
+        assert not hasattr(epl, name) and not hasattr(metrics, name), name
+    assert "gt_side" not in inspect.signature(epl.evaluate_pair).parameters
 
 
 def test_the_package_imports_only_numpy_and_the_standard_library():

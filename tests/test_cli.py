@@ -2,6 +2,7 @@ import argparse
 import csv
 import hashlib
 import json
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from epl import datagen, gradcheck, io, model
 from epl.cli import _split_train_val, build_parser, main
 from epl.fields import ACConfig, one_hot, standard_convolve
-from epl.losses import LossConfig, equipotential_line_loss, point_loss
+from epl.losses import LossConfig, LossValue, equipotential_line_loss, point_loss
 from epl.config import (
     DEFAULTS,
     ConfigError,
@@ -609,7 +610,34 @@ class TestErrorPaths:
         assert run("gen", "--config", tiny_config, "--out", data) == 0
         out = tmp_path / "eval"
         assert run("eval", "--pred", data, "--gt", data, "--out", out, "--classes", 2) == 2
-        assert "label 2 lies outside [0, 2)" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        first = data / "sample_0000.pgm"
+        assert f"error: {first} against {first}: prediction label 2 lies outside [0, 2)" in err
+        assert not out.exists()
+
+    def test_eval_names_a_pair_of_unequal_shapes(self, tmp_path, capsys):
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        io.write_pgm(pred_dir / "a.pgm", np.zeros((8, 8), dtype=int))
+        io.write_pgm(gt_dir / "a.pgm", np.zeros((8, 8), dtype=int))
+        io.write_pgm(pred_dir / "b.pgm", np.zeros((6, 8), dtype=int))
+        io.write_pgm(gt_dir / "b.pgm", np.zeros((8, 8), dtype=int))
+        out = tmp_path / "eval"
+        assert run("eval", "--pred", pred_dir, "--gt", gt_dir, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert (f"error: {pred_dir / 'b.pgm'} against {gt_dir / 'b.pgm'}: label maps must be "
+                "2-D with equal shapes, got (6, 8) vs (8, 8)") in err
+        assert not out.exists()
+
+    def test_convert_names_a_map_with_a_label_beyond_the_classes(self, tmp_path, capsys):
+        lab = np.zeros((9, 9), dtype=int)
+        lab[3:6, 3:6] = 2
+        io.write_pgm(tmp_path / "m.pgm", lab)
+        out = tmp_path / "f.eplt"
+        assert run("convert", "--labels", tmp_path / "m.pgm", "--out", out, "--classes", 2) == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'm.pgm'}: labels must lie in [0, 2), found range [0, 2]" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["convert", "eval"])
@@ -766,6 +794,33 @@ class TestErrorPaths:
         assert f"error: {data / 'manifest.json'}: {problem}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("sidecar,problem", [
+        ("[1, 2]", "the sidecar is not a JSON object"),
+        ("{bad", "not valid JSON (Expecting property name"),
+    ], ids=["list", "not-json"])
+    def test_a_bad_sidecar_exits_2_naming_it(self, tmp_path, flag_inputs, capsys, sidecar,
+                                             problem):
+        model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0))
+        (tmp_path / "ck.json").write_text(sidecar)
+        assert run("loss", "--data", flag_inputs / "data", "--checkpoint", tmp_path / "ck",
+                   "--out", tmp_path / "losses.json") == 2
+        err = capsys.readouterr().err
+        assert f"error: {tmp_path / 'ck.json'}: {problem}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "losses.json").exists()
+
+    def test_ablate_names_the_step_of_a_non_finite_loss_term(self, tmp_path, tiny_config,
+                                                              capsys, monkeypatch):
+        def infinite_line(target, e_pred, cfg, radius, want_grad=True):
+            return LossValue(float("inf"), np.zeros_like(e_pred) if want_grad else None)
+
+        monkeypatch.setattr(model, "equipotential_line_loss", infinite_line)
+        out = tmp_path / "ablate"
+        assert run("ablate", "--config", tiny_config, "--sweep", "mu", "--out", out) == 1
+        err = capsys.readouterr().err
+        assert re.search(r"error: epoch 0, sample \d+: non-finite loss term\(s\) line: ", err)
+        assert not out.exists()
 
     def test_loss_rejects_a_flat_sidecar_config(self, tmp_path, tiny_config, capsys):
         data = tmp_path / "data"

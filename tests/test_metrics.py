@@ -11,7 +11,6 @@ from epl.metrics import (
     boundary_fmeasure,
     chebyshev_dilate,
     evaluate_pair,
-    ground_truth_side,
     mean_record,
     miou,
     transition_mask,
@@ -357,35 +356,6 @@ class TestSharedScoringPath:
             for t in TOLERANCES:
                 assert record["boundary_f"][str(t)] == _loop_fmeasure(pred, gt, t)
 
-    def test_a_prebuilt_ground_truth_side_gives_the_same_record(self):
-        for pred, gt, k in self.pairs():
-            side = ground_truth_side(gt, k, WIDTHS)
-            record = evaluate_pair(pred, gt, k, WIDTHS, TOLERANCES)
-            assert evaluate_pair(pred, gt, k, WIDTHS, TOLERANCES, side) == record
-            # A side built for more widths serves any subset of them.
-            assert (evaluate_pair(pred, gt, k, [3], [1], side)
-                    == evaluate_pair(pred, gt, k, [3], [1]))
-
-    def test_side_built_once_scores_many_predictions(self):
-        rng = np.random.default_rng(11)
-        gt = rng.integers(0, 3, (12, 12))
-        side = ground_truth_side(gt, 3, WIDTHS)
-        for _ in range(5):
-            pred = rng.integers(0, 3, (12, 12))
-            assert (evaluate_pair(pred, gt, 3, WIDTHS, TOLERANCES, side)
-                    == standalone_record(pred, gt, 3))
-
-    @pytest.mark.parametrize("build", [
-        lambda gt: ground_truth_side(gt, 3, [3, 5]),
-        lambda gt: ground_truth_side(gt, 4, [1, 3]),
-        lambda gt: ground_truth_side(gt[:, :6], 3, [1, 3]),
-    ], ids=["missing-width", "other-class-count", "other-shape"])
-    def test_a_side_that_does_not_fit_is_rejected(self, build):
-        gt = np.zeros((8, 8), dtype=int)
-        gt[:, 4:] = 1
-        with pytest.raises(ValueError, match="gt_side has planes of shape"):
-            evaluate_pair(gt, gt, 3, [1, 3], [1], build(gt))
-
     def test_both_boundaries_empty(self):
         flat = np.full((6, 7), 2)
         record = evaluate_pair(flat, flat, 3, WIDTHS, TOLERANCES)
@@ -421,10 +391,9 @@ class TestSharedScoringPath:
 
     @pytest.mark.parametrize("call", [
         lambda lab: evaluate_pair(lab, lab, 2, [3, 0], [1]),
-        lambda lab: ground_truth_side(lab, 2, [0]),
         lambda lab: trimap_iou(lab, lab, 2, 0),
         lambda lab: boundary_band(lab, 0),
-    ], ids=["evaluate_pair", "ground_truth_side", "trimap_iou", "boundary_band"])
+    ], ids=["evaluate_pair", "trimap_iou", "boundary_band"])
     def test_width_zero_raises(self, call):
         lab = np.zeros((6, 6), dtype=int)
         lab[:, 3:] = 1
@@ -548,10 +517,9 @@ class TestChainedReaches:
 
     def test_bands_match_brute_force(self):
         for _, gt in self.maps():
-            side = ground_truth_side(gt, 3, self.WIDTHS)
-            assert list(side.bands) == [10, 3, 1, 40, 2]
-            for w, band in side.bands.items():
-                npt.assert_array_equal(band, brute_dilate(transition_mask(gt), w), err_msg=f"{w}")
+            for w in self.WIDTHS:
+                npt.assert_array_equal(boundary_band(gt, w), brute_dilate(transition_mask(gt), w),
+                                       err_msg=f"{w}")
 
     def test_record_matches_brute_force_in_the_order_given(self):
         for pred, gt in self.maps():
