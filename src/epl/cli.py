@@ -147,8 +147,14 @@ def _write_history(out_dir: Path, history: list[dict]) -> None:
 
 def _checkpoint_train_config(stem, sidecar: dict) -> model.TrainConfig:
     """The training config recorded in a checkpoint's sidecar."""
+    config = sidecar.get("config", {})
     try:
-        return config_mod.build_train_config(sidecar.get("config", {}))
+        if not isinstance(config, dict):
+            raise TypeError(f"is a {type(config).__name__}, not an object")
+        for name in ("ac", "loss", "train"):
+            if not isinstance(config.get(name, {}), dict):
+                raise TypeError(f"section {name} is a {type(config[name]).__name__}, not an object")
+        return config_mod.build_train_config(config)
     except KeyError as exc:
         problem = f"lacks {exc}"
     except TypeError as exc:

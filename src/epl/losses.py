@@ -122,15 +122,17 @@ def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True) -> LossVal
         raise ValueError(f"energy shapes differ: {gt.shape} vs {pred.shape}")
     if gt.ndim != 4:
         raise ValueError(f"energies must have shape (|S|, classes, height, width), got {gt.shape}")
-    delta = gt - pred
+    delta = gt - pred  # a fresh array: the gradient is built in it
     scale = 1.0 / gt.shape[0] / delta[0].size
     if cfg.norm == "l1":
         value = float(np.abs(delta).sum() * scale)
-        grad = -np.sign(delta) * scale if want_grad else None
+        if want_grad:  # -sign(delta) * scale
+            np.multiply(np.negative(np.sign(delta, out=delta), out=delta), scale, out=delta)
     else:
         value = float((delta * delta).sum() * scale)
-        grad = -2.0 * scale * delta if want_grad else None
-    return LossValue(value, grad)
+        if want_grad:  # -2 * scale * delta
+            np.multiply(delta, -2.0 * scale, out=delta)
+    return LossValue(value, delta if want_grad else None)
 
 
 @dataclass
@@ -371,7 +373,9 @@ def equipotential_line_loss(gt, e_pred, cfg: LossConfig, radius: int,
     for term in (1.0 - edc[counted]).tolist():  # (direction, class, level) order
         total += term
     scale = 1.0 / edc.shape[0]
-    return LossValue(total * scale, grad * scale if want_grad else None)
+    if want_grad:
+        grad *= scale
+    return LossValue(total * scale, grad)
 
 
 def equipotential_dice(gt, e_pred, cfg: LossConfig, radius: int) -> np.ndarray:

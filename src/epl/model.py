@@ -12,12 +12,13 @@ or off.
 
 Each net keeps a workspace for the last input shape it saw: every
 intermediate of the conv layers (padded inputs, im2col matrices, conv
-outputs, logits, hidden-layer gradients, col2im's padded planes and
-accumulator), 5.0 MB at 64x64 and 11.1 MB at 96x96 for one input channel and
+outputs, logits, hidden-layer gradients, col2im's tap columns and
+accumulator), 4.7 MB at 64x64 and 10.5 MB at 96x96 for one input channel and
 three classes.  It is rebuilt only when the shape changes, so a steady-state
 step allocates (and page-faults in) none of them.  col2im runs over
-zero-bordered, flattened planes, one tap at a time, so each of its nine
-shifted adds is one contiguous 1-D add (fields._add_at_offset).  Hence:
+zero-bordered, flattened planes (the second conv's padded input, which the
+forward is done with), one tap at a time, so each of its nine shifted adds
+is one contiguous 1-D add (fields._add_at_offset).  Hence:
 
 - the cache of ``forward_with_cache`` is valid until the next forward on the
   same net; probabilities, gradients and losses are fresh arrays;
@@ -104,10 +105,11 @@ class _Workspace:
     Forward: the zero-bordered padded inputs (pad1, pad2) and im2col
     matrices (cols1, cols2) of both 3x3 convs, their outputs z1 and z2, a2 =
     relu(z2) and the logits.  Backward: the hidden-layer gradient dz; for the
-    second conv's col2im, gpad (its output gradient with a zero border), one
-    tap's columns dcols (HIDDEN, (H+2)*(W+2)) over the padded planes and the
-    padded accumulator acc; the logits buffer is reused for the
-    softmax-input gradient.
+    second conv's col2im, one tap's columns dcols (HIDDEN, (H+2)*(W+2)) over
+    the padded planes and the padded accumulator acc.  Two forward buffers
+    are reused once the forward is done with them: logits for the
+    softmax-input gradient, and pad2 (the same shape and zero border) for
+    col2im's padded output gradient, whose interior alone is written.
     """
 
     def __init__(self, shape: tuple, num_classes: int):
@@ -119,7 +121,6 @@ class _Workspace:
         self.cols2 = np.empty((HIDDEN, 9, h, w))
         self.z1, self.z2, self.a2, self.dz = np.empty((4, HIDDEN, h, w))
         self.logits = np.empty((num_classes, h, w))
-        self.gpad = np.zeros((HIDDEN, h + 2, w + 2))
         self.dcols = np.empty((HIDDEN, (h + 2) * (w + 2)))
         self.acc = np.empty((HIDDEN, h + 2, w + 2))
 
@@ -154,14 +155,15 @@ def _conv3_param_grads(g: np.ndarray, cols: np.ndarray, w: np.ndarray):
 def _conv3_input_grad(g: np.ndarray, w: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Input gradient of a 3x3 conv by col2im into ws.acc; returns the interior view dx.
 
-    g is copied into the zero-bordered ws.gpad.  For each tap, in _OFFSETS3
-    order, one GEMM of the tap's (Cin, Cout) weights with the flattened
-    padded planes fills ws.dcols (its border is ±0.0), which is added into
-    the zeroed accumulator at the tap's flat offset.
+    g is copied into the interior of the zero-bordered ws.pad2, which the
+    forward no longer needs once cols2 holds its shifts.  For each tap, in
+    _OFFSETS3 order, one GEMM of the tap's (Cin, Cout) weights with the
+    flattened padded planes fills ws.dcols (its border is ±0.0), which is
+    added into the zeroed accumulator at the tap's flat offset.
     """
     cout, cin = w.shape[:2]
     wp = g.shape[-1] + 2
-    gpad, dcols, acc = ws.gpad, ws.dcols, ws.acc
+    gpad, dcols, acc = ws.pad2, ws.dcols, ws.acc
     gpad[:, 1:-1, 1:-1] = g
     taps = np.ascontiguousarray(w.reshape(cout, cin, 9).transpose(2, 1, 0))
     flat = acc.reshape(cin, -1)
@@ -320,12 +322,13 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
 
     probs is a (K, H, W) probability field.  Returns the terms (ce, point,
     line and their weighted total) and the gradient of the total w.r.t.
-    probs: the potential-domain gradients are chained back through the
-    converter's adjoint.  A potential term is evaluated only when its
-    weight is positive, and reads 0.0 otherwise.  target is
-    ground_truth(labels, ...); it is built here when needed and not given.
-    With want_grad False only the terms are computed (no loss builds its
-    gradient, nothing runs through the adjoint), and the gradient is None.
+    probs: the losses' fresh potential-domain gradients are weighted and
+    summed in place (so at most three energy-sized arrays are alive) and
+    chained back through the converter's adjoint.  A potential term is
+    evaluated only when its weight is positive, and reads 0.0 otherwise.
+    target is ground_truth(labels, ...), built here when needed and not
+    given.  With want_grad False only the terms are computed and the
+    gradient is None: no loss builds one, nothing runs through the adjoint.
     """
     loss = cfg.loss
     ce = cross_entropy_loss(probs, labels, want_grad=want_grad)
@@ -335,18 +338,20 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
         if target is None:
             target = ground_truth(labels, probs.shape[0], cfg)
         e_pred = convert(probs, cfg)
-        e_grad = np.zeros_like(e_pred) if want_grad else None
+        e_grad = None
         if loss.lambda1 > 0:
             pt = point_loss(target.energies, e_pred, loss, want_grad=want_grad)
             terms["point"] = pt.value
             if want_grad:
-                e_grad += loss.lambda1 * pt.gradient
+                e_grad = pt.gradient
+                e_grad *= loss.lambda1
         if loss.lambda2 > 0:
             # Keep these four arguments positional: perfbench/tracer.py unpacks them.
             ln = equipotential_line_loss(target, e_pred, loss, cfg.ac.radius, want_grad=want_grad)
             terms["line"] = ln.value
             if want_grad:
-                e_grad += loss.lambda2 * ln.gradient
+                ln.gradient *= loss.lambda2
+                e_grad = ln.gradient if e_grad is None else np.add(e_grad, ln.gradient, out=e_grad)
         if want_grad:
             dprobs += _convert_adjoint(e_grad, cfg)
     terms["total"] = terms["ce"] + loss.lambda1 * terms["point"] + loss.lambda2 * terms["line"]

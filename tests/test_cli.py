@@ -795,18 +795,26 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("sidecar,problem", [
-        ("[1, 2]", "the sidecar is not a JSON object"),
-        ("{bad", "not valid JSON (Expecting property name"),
-    ], ids=["list", "not-json"])
+    @pytest.mark.parametrize("sidecar,named,problem", [
+        ("[1, 2]", "ck.json", "the sidecar is not a JSON object"),
+        ("{bad", "ck.json", "not valid JSON (Expecting property name"),
+        ({"config": [1, 2]}, "ck", "sidecar config is a list, not an object"),
+        ({"config": "x"}, "ck", "sidecar config is a str, not an object"),
+        ({"config": {**train_sections(model.TrainConfig()), "ac": [1, 2]}}, "ck",
+         "sidecar config section ac is a list, not an object"),
+    ], ids=["list", "not-json", "config-list", "config-string", "section-list"])
     def test_a_bad_sidecar_exits_2_naming_it(self, tmp_path, flag_inputs, capsys, sidecar,
-                                             problem):
+                                             named, problem):
+        """A raw text replaces the sidecar; a dict replaces keys of the saved one."""
         model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0))
-        (tmp_path / "ck.json").write_text(sidecar)
+        path = tmp_path / "ck.json"
+        if isinstance(sidecar, dict):
+            sidecar = json.dumps({**json.loads(path.read_text()), **sidecar})
+        path.write_text(sidecar)
         assert run("loss", "--data", flag_inputs / "data", "--checkpoint", tmp_path / "ck",
                    "--out", tmp_path / "losses.json") == 2
         err = capsys.readouterr().err
-        assert f"error: {tmp_path / 'ck.json'}: {problem}" in err
+        assert f"error: {tmp_path / named}: {problem}" in err
         assert "Traceback" not in err
         assert not (tmp_path / "losses.json").exists()
 

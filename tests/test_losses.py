@@ -85,6 +85,33 @@ class TestPointLoss:
         g1 = point_loss(gt, pred, LossConfig(norm="l1")).gradient
         npt.assert_allclose(g1, -np.sign(delta) / 4 / gt[0].size)
 
+    def test_gradient_is_bit_identical_to_the_out_of_place_formula(self):
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            gt = rng.integers(0, 4, (2, 2, 5, 5)).astype(np.float64)
+            pred = gt + rng.choice([0.0, 0.25, -1.5], gt.shape) * rng.uniform(0.5, 2.0, gt.shape)
+            gt[0, 0, 0, :2], pred[0, 0, 0, :2] = -0.0, (0.0, -0.0)  # delta -0.0 and +0.0
+            delta = gt - pred
+            scale = 1.0 / gt.shape[0] / delta[0].size
+            for norm, old in (("l1", -np.sign(delta) * scale), ("l2", -2.0 * scale * delta)):
+                grad = point_loss(gt, pred, LossConfig(norm=norm)).gradient
+                npt.assert_array_equal(grad, old)
+                npt.assert_array_equal(np.signbit(grad), np.signbit(old))
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_gradients_are_fresh_arrays(self, norm):
+        gt, radius = gt_energies(3)
+        pred = gt + np.random.default_rng(4).normal(0.0, 0.3, gt.shape)
+        cfg = LossConfig(norm=norm, mu_exp=2)
+        target = line_target(gt, 2, radius)
+        grads = [point_loss(gt, pred, cfg).gradient,
+                 point_loss(target.energies, pred, cfg).gradient,
+                 equipotential_line_loss(gt, pred, cfg, radius).gradient,
+                 equipotential_line_loss(target, pred, cfg, radius).gradient]
+        for grad in grads:
+            for given in (gt, pred, target.energies):
+                assert not np.shares_memory(grad, given)
+
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             point_loss(np.zeros((4, 1, 2, 2)), np.zeros((4, 1, 3, 3)), LossConfig())

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -7,7 +8,7 @@ import pytest
 from epl import datagen, model
 from epl.fields import ACConfig
 from epl.io import FormatError
-from epl.losses import LossConfig, cross_entropy_loss
+from epl.losses import LossConfig, cross_entropy_loss, equipotential_line_loss, point_loss
 from epl.model import TinyNet, TrainConfig, TrainingDiverged
 from shift_reference import shift2d
 
@@ -220,6 +221,59 @@ class TestBackward:
         monkeypatch.setattr(model, "equipotential_line_loss", inf_line)
         with pytest.raises(TrainingDiverged, match=r"term\(s\) line: "):
             model.backward(TinyNet(1, 3, seed=0), s.image, s.labels, small_cfg())
+
+
+def accumulated_dprobs(probs, labels, cfg):
+    """The objective's gradient as once accumulated: zeros, then each weighted gradient added."""
+    loss = cfg.loss
+    dprobs = cross_entropy_loss(probs, labels).gradient
+    if loss.lambda1 == 0 and loss.lambda2 == 0:
+        return dprobs
+    target = model.ground_truth(labels, probs.shape[0], cfg)
+    e_pred = model.convert(probs, cfg)
+    e_grad = np.zeros_like(e_pred)
+    if loss.lambda1 > 0:
+        e_grad += loss.lambda1 * point_loss(target.energies, e_pred, loss).gradient
+    if loss.lambda2 > 0:
+        e_grad += loss.lambda2 * equipotential_line_loss(target, e_pred, loss, cfg.ac.radius).gradient
+    return dprobs + model._convert_adjoint(e_grad, cfg)
+
+
+class TestObjectiveInPlace:
+    """objective weighs and sums the losses' fresh gradients in place."""
+
+    @pytest.mark.parametrize("splitter", ["A", "C"])
+    @pytest.mark.parametrize("mu", [2, 10])
+    @pytest.mark.parametrize("weights", [(0.1, 0.01), (0.0, 0.01), (0.1, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize("converter", ["ac", "sc"])
+    def test_gradient_is_bit_identical_to_the_accumulated_one(self, converter, norm, weights,
+                                                               mu, splitter):
+        s = tiny_sample(seed=8)
+        probs = TinyNet(1, 3, seed=2).forward(s.image)
+        cfg = TrainConfig(loss=LossConfig(norm=norm, mu_exp=mu, lambda1=weights[0],
+                                          lambda2=weights[1]),
+                          ac=ACConfig(kernel_size=5, splitter=splitter, converter=converter))
+        _, dprobs = model.objective(probs, s.labels, cfg)
+        expected = accumulated_dprobs(probs, s.labels, cfg)
+        npt.assert_array_equal(dprobs, expected)
+        npt.assert_array_equal(np.signbit(dprobs), np.signbit(expected))
+
+    def test_a_step_holds_at_most_four_energy_tensors(self):
+        spec = datagen.SceneSpec(kind="adjacent_rects", height=96, width=96, classes=3,
+                                 noise_sigma=0.1, count=1, seed=0)
+        s = datagen.generate_sample(spec, 0)
+        cfg = TrainConfig(loss=LossConfig(mu_exp=2), ac=ACConfig(kernel_size=9, splitter="C"))
+        probs = TinyNet(1, 3, seed=0).forward(s.image)
+        target = model.ground_truth(s.labels, 3, cfg)
+        energy_bytes = 8 * len(cfg.ac.directions) * probs.size
+        tracemalloc.start()
+        try:
+            model.objective(probs, s.labels, cfg, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * energy_bytes, f"peak {peak / energy_bytes:.2f} energy tensors"
 
 
 class TestTrain:
