@@ -6,9 +6,10 @@ line loss scores contour agreement: for each (class, direction, integer
 level) it activates soft level-set memberships ``exp(-(energy - level)**mu)``
 of both energy planes and compares them with a normalized dice-style
 coefficient (EDC) that equals 1 exactly when the prediction matches the
-ground truth.  Cross-entropy and plain dice operate in the probability
-domain as baselines.  The weighted training total and its gradient are
-formed in one place, ``model.objective``.
+ground truth.  Cross-entropy and plain dice are probability-domain
+baselines.  Each loss scales its fresh gradient array in place, and
+``model.objective``, the one place that forms the weighted training total
+and its gradient, weighs and sums them in place.
 
 The membership activation is evaluated over the whole plane, which keeps the
 line loss differentiable everywhere; the sorted equal-count line regions are
@@ -113,8 +114,8 @@ def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True) -> LossVal
 
     With delta = gt - pred, the value is sum |delta| (or delta**2) divided by
     the direction count |S| and by the element count K * H * W of one
-    direction.  The gradient w.r.t. the prediction is returned, or None
-    with want_grad False.
+    direction.  The gradient w.r.t. the prediction is built in place in
+    delta, a fresh array; it is None with want_grad False.
     """
     gt = np.asarray(e_gt)  # gt - pred promotes a uint8 ground truth exactly, with no copy
     pred = np.asarray(e_pred, dtype=np.float64)
@@ -122,7 +123,7 @@ def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True) -> LossVal
         raise ValueError(f"energy shapes differ: {gt.shape} vs {pred.shape}")
     if gt.ndim != 4:
         raise ValueError(f"energies must have shape (|S|, classes, height, width), got {gt.shape}")
-    delta = gt - pred  # a fresh array: the gradient is built in it
+    delta = gt - pred
     scale = 1.0 / gt.shape[0] / delta[0].size
     if cfg.norm == "l1":
         value = float(np.abs(delta).sum() * scale)

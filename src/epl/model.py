@@ -155,11 +155,10 @@ def _conv3_param_grads(g: np.ndarray, cols: np.ndarray, w: np.ndarray):
 def _conv3_input_grad(g: np.ndarray, w: np.ndarray, ws: _Workspace) -> np.ndarray:
     """Input gradient of a 3x3 conv by col2im into ws.acc; returns the interior view dx.
 
-    g is copied into the interior of the zero-bordered ws.pad2, which the
-    forward no longer needs once cols2 holds its shifts.  For each tap, in
-    _OFFSETS3 order, one GEMM of the tap's (Cin, Cout) weights with the
-    flattened padded planes fills ws.dcols (its border is ±0.0), which is
-    added into the zeroed accumulator at the tap's flat offset.
+    g is copied into the interior of ws.pad2, which the forward is done with.
+    For each tap, in _OFFSETS3 order, one GEMM of the tap's (Cin, Cout) weights
+    with the flattened padded planes fills ws.dcols (its border is ±0.0), which
+    is added into the zeroed accumulator at the tap's flat offset.
     """
     cout, cin = w.shape[:2]
     wp = g.shape[-1] + 2
