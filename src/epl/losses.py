@@ -7,9 +7,11 @@ level) it activates soft level-set memberships ``exp(-(energy - level)**mu)``
 of both energy planes and compares them with a normalized dice-style
 coefficient (EDC) that equals 1 exactly when the prediction matches the
 ground truth.  Cross-entropy and plain dice are probability-domain
-baselines.  Each loss scales its fresh gradient array in place, and
-``model.objective``, the one place that forms the weighted training total
-and its gradient, weighs and sums them in place.
+baselines.  The point loss builds its gradient in place in its one fresh
+array.  The line loss adds its gradient, times a weight, a row block at a
+time into a caller's array or a fresh one.  So ``model.objective``, the one
+place that forms the weighted training total and its gradient, weighs the
+point gradient in place and has the line loss add into it.
 
 The membership activation is evaluated over the whole plane, which keeps the
 line loss differentiable everywhere; the sorted equal-count line regions are
@@ -114,8 +116,10 @@ def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True) -> LossVal
 
     With delta = gt - pred, the value is sum |delta| (or delta**2) divided by
     the direction count |S| and by the element count K * H * W of one
-    direction.  The gradient w.r.t. the prediction is built in place in
-    delta, a fresh array; it is None with want_grad False.
+    direction.  The value is summed from delta's squares (or magnitudes),
+    taken in place; delta is then recomputed into the same array and turned
+    into the gradient w.r.t. the prediction in place, so the call holds one
+    array of the energies' size.  The gradient is None with want_grad False.
     """
     gt = np.asarray(e_gt)  # gt - pred promotes a uint8 ground truth exactly, with no copy
     pred = np.asarray(e_pred, dtype=np.float64)
@@ -125,15 +129,16 @@ def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True) -> LossVal
         raise ValueError(f"energies must have shape (|S|, classes, height, width), got {gt.shape}")
     delta = gt - pred
     scale = 1.0 / gt.shape[0] / delta[0].size
-    if cfg.norm == "l1":
-        value = float(np.abs(delta).sum() * scale)
-        if want_grad:  # -sign(delta) * scale
-            np.multiply(np.negative(np.sign(delta, out=delta), out=delta), scale, out=delta)
-    else:
-        value = float((delta * delta).sum() * scale)
-        if want_grad:  # -2 * scale * delta
-            np.multiply(delta, -2.0 * scale, out=delta)
-    return LossValue(value, delta if want_grad else None)
+    l1 = cfg.norm == "l1"
+    value = float((np.abs if l1 else np.square)(delta, out=delta).sum() * scale)
+    if not want_grad:
+        return LossValue(value, None)
+    np.subtract(gt, pred, out=delta)
+    if l1:  # -sign(delta) * scale
+        np.multiply(np.negative(np.sign(delta, out=delta), out=delta), scale, out=delta)
+    else:  # -2 * scale * delta
+        np.multiply(delta, -2.0 * scale, out=delta)
+    return LossValue(value, delta)
 
 
 @dataclass
@@ -248,7 +253,7 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
     if gt.ndim != 4:
         raise ValueError(f"energies must have shape (|S|, classes, height, width), got {gt.shape}")
     if not np.issubdtype(gt.dtype, np.integer):
-        as_float = gt.astype(np.float64)
+        as_float = gt.astype(np.float64, copy=False)
         if not (np.isfinite(as_float).all() and np.array_equal(np.rint(as_float), as_float)):
             raise ValueError("ground-truth energies must be integer-valued")
     lo, hi = (int(gt.min()), int(gt.max())) if gt.size else (0, 0)
@@ -269,24 +274,29 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
         d = np.take(luts[t], codes)
         present[t] = (codes == t + 1).any(axis=1)
         mass[t] = d.sum(axis=1)
-        sq_mass[t] = (d * d).sum(axis=1)
+        sq_mass[t] = np.square(d, out=d).sum(axis=1)
     return LineTarget(energies, mu, radius, luts, present, mass, sq_mass)
 
 
-def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
+def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float = 1.0,
+                add_to: np.ndarray | None = None):
     """EDC per (direction, class, level), which terms count, and their gradient.
 
     gt is a LineTarget or the raw ground-truth energies.  Returns the EDC
     array (|S|, K, radius) with NaN at skipped levels, the boolean mask of
     scored terms that are not capped (EDC < 1, or NaN from a non-finite
-    prediction), and, on request, the gradient of their sum of (1 - EDC)
-    w.r.t. the prediction.
+    prediction), and, on request, the gradient array: weight / |S| times the
+    gradient of their sum of (1 - EDC) w.r.t. the prediction, added into
+    add_to or into a fresh array.
 
     Planes are processed in blocks of whole rows, so that each float64
     temporary stays within LINE_BLOCK_BYTES, and each block goes through
     the levels in order: every gradient element sums its terms in level
     order and every row sum is the plane's own pairwise sum, as when one
-    plane was scored at a time.
+    plane was scored at a time.  A block's level sum is scaled by 1/|S|,
+    then by weight, and then added into the gradient rows.  The fresh array
+    is filled with -0.0, the exact additive identity, so it receives the
+    scaled sums unchanged, signed zeros included.
     """
     target = gt if isinstance(gt, LineTarget) else line_target(gt, mu, radius)
     if (target.mu, target.radius) != (mu, radius):
@@ -305,12 +315,21 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
     c_norm = np.divide(target.mass, target.sq_mass, out=np.zeros(valid.shape), where=valid)
     edc = np.full((n_dirs, n_classes, radius), np.nan)
     edc_rows = edc.reshape(n_rows, radius)
-    grad = np.zeros_like(pred) if want_grad else None
-    g_rows = grad.reshape(n_rows, h * w) if want_grad else None
     step = max(1, LINE_BLOCK_BYTES // max(1, 8 * h * w))
+    grad = None
+    if want_grad:
+        grad = np.full(pred.shape, -0.0) if add_to is None else add_to
+        if not (isinstance(grad, np.ndarray) and grad.dtype == np.float64
+                and grad.shape == pred.shape and grad.flags.c_contiguous):
+            raise ValueError(f"add_to must be a C-contiguous float64 array of shape {pred.shape}")
+        g_rows = grad.reshape(n_rows, h * w)
+        block = np.empty((min(step, n_rows), h * w))
     for r0 in range(0, n_rows, step):
         rows = slice(r0, r0 + step)
         p = p_rows[rows]
+        if want_grad:
+            acc = block[:p.shape[0]]
+            acc.fill(0.0)
         for t in range(radius):
             ok = valid[t, rows]
             if not ok.any():
@@ -338,7 +357,7 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
                               out=np.zeros(denom.shape), where=ok)
             # coeff * (d * denom - inter) * mu * dp_pow * d_hat, in place.  Skipped and
             # capped rows take no gradient: zeroing their dp_pow keeps a +-inf prediction
-            # there out of a 0 * inf, and zeroing their terms last drops a NaN one.  grad
+            # there out of a 0 * inf, and zeroing their terms last drops a NaN one.  acc
             # starts at +0.0 and so is never -0.0: adding the zeroed rows leaves it as is.
             idle = ~useful
             dp_pow[idle] = 0.0
@@ -349,13 +368,18 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool):
             term *= dp_pow
             term *= d_hat
             term[idle] = 0.0
-            g_rows[rows] += term
+            acc += term
+        if want_grad:
+            acc *= 1.0 / n_dirs
+            acc *= weight
+            g_rows[rows] += acc
     counted = valid.T.reshape(edc.shape) & ~(edc >= 1.0)
     return edc, counted, grad
 
 
-def equipotential_line_loss(gt, e_pred, cfg: LossConfig, radius: int,
-                            want_grad: bool = True) -> LossValue:
+def equipotential_line_loss(gt, e_pred, cfg: LossConfig, radius: int, want_grad: bool = True,
+                            *, weight: float = 1.0, add_to: np.ndarray | None = None
+                            ) -> LossValue:
     """Accumulated (1 - EDC) over classes, directions, and levels 1..radius.
 
     Per term: d = exp(-(gt - level)**mu) and d_hat likewise on the
@@ -367,16 +391,18 @@ def equipotential_line_loss(gt, e_pred, cfg: LossConfig, radius: int,
     by the direction count.  Levels whose ground-truth line is empty (no
     pixel at exactly that energy) are skipped.  gt is the ground-truth
     energy array or the LineTarget built from it by :func:`line_target`.
-    With want_grad False the gradient is not built and is None.
+
+    The gradient is weight times the gradient of the value.  It is added
+    into add_to, a C-contiguous float64 array of the prediction's shape that
+    is returned as the gradient, or into a fresh array when add_to is None;
+    either way no other array of that size is made.  With want_grad False
+    the gradient is not built, add_to is not touched and the gradient is None.
     """
-    edc, counted, grad = _line_terms(gt, e_pred, cfg.mu_exp, radius, want_grad)
+    edc, counted, grad = _line_terms(gt, e_pred, cfg.mu_exp, radius, want_grad, weight, add_to)
     total = 0.0
     for term in (1.0 - edc[counted]).tolist():  # (direction, class, level) order
         total += term
-    scale = 1.0 / edc.shape[0]
-    if want_grad:
-        grad *= scale
-    return LossValue(total * scale, grad)
+    return LossValue(total * (1.0 / edc.shape[0]), grad)
 
 
 def equipotential_dice(gt, e_pred, cfg: LossConfig, radius: int) -> np.ndarray:

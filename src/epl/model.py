@@ -11,14 +11,15 @@ inference cost and parameter count are identical with the extra terms on
 or off.
 
 Each net keeps a workspace for the last input shape it saw: every
-intermediate of the conv layers (padded inputs, im2col matrices, conv
-outputs, logits, hidden-layer gradients, col2im's tap columns and
-accumulator), 4.7 MB at 64x64 and 10.5 MB at 96x96 for one input channel and
-three classes.  It is rebuilt only when the shape changes, so a steady-state
-step allocates (and page-faults in) none of them.  col2im runs over
-zero-bordered, flattened planes (the second conv's padded input, which the
-forward is done with), one tap at a time, so each of its nine shifted adds
-is one contiguous 1-D add (fields._add_at_offset).  Hence:
+intermediate of the conv layers (padded inputs, im2col matrices, the second
+conv's activation, logits, hidden-layer gradients, col2im's tap columns and
+accumulator), 4.2 MB at 64x64 and 9.3 MB at 96x96 for one input channel and
+three classes; relu runs in place, so no pre-activation is kept.  It is
+rebuilt only when the shape changes, so a steady-state step allocates (and
+page-faults in) none of them.  col2im runs over zero-bordered, flattened
+planes (the second conv's padded input, which the forward is done with), one
+tap at a time, so each of its nine shifted adds is one contiguous 1-D add
+(fields._add_at_offset).  Hence:
 
 - the cache of ``forward_with_cache`` is valid until the next forward on the
   same net; probabilities, gradients and losses are fresh arrays;
@@ -59,11 +60,15 @@ ARCHITECTURE = "conv3x3-relu-conv3x3-relu-conv1x1-softmax"
 HISTORY_TRIMAP_WIDTH = 3
 HISTORY_F_TOL = 3
 
+#: Largest parameter magnitude a float32 checkpoint holds; training stops
+#: with TrainingDiverged when an update leaves a parameter beyond it or NaN.
+PARAM_LIMIT = float(np.finfo(np.float32).max)
+
 _OFFSETS3 = tuple((dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1))
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the training loss stops being finite."""
+    """Raised when the training loss or a parameter stops being finite."""
 
 
 @dataclass(frozen=True)
@@ -103,13 +108,17 @@ class _Workspace:
     """Scratch buffers of one TinyNet for one input shape (C, H, W).
 
     Forward: the zero-bordered padded inputs (pad1, pad2) and im2col
-    matrices (cols1, cols2) of both 3x3 convs, their outputs z1 and z2, a2 =
-    relu(z2) and the logits.  Backward: the hidden-layer gradient dz; for the
-    second conv's col2im, one tap's columns dcols (HIDDEN, (H+2)*(W+2)) over
-    the padded planes and the padded accumulator acc.  Two forward buffers
-    are reused once the forward is done with them: logits for the
-    softmax-input gradient, and pad2 (the same shape and zero border) for
-    col2im's padded output gradient, whose interior alone is written.
+    matrices (cols1, cols2) of both 3x3 convs, a2 and the logits.  Both conv
+    GEMMs write into a2 and relu is applied in place: conv1's into pad2's
+    interior, conv2's into a2 itself.  No pre-activation is kept, since the
+    backward needs only where it is positive, and relu(z) > 0 exactly when
+    z > 0: the masks are a2 > 0 and cols2's centre tap (relu(z1)) > 0.
+    Backward: the hidden-layer gradient dz; for the second conv's col2im,
+    one tap's columns dcols (HIDDEN, (H+2)*(W+2)) over the padded planes and
+    the padded accumulator acc.  Two forward buffers are reused once the
+    forward is done with them: logits for the softmax-input gradient, and
+    pad2 (the same shape and zero border) for col2im's padded output
+    gradient, whose interior alone is written.
     """
 
     def __init__(self, shape: tuple, num_classes: int):
@@ -119,7 +128,7 @@ class _Workspace:
         self.cols1 = np.empty((cin, 9, h, w))
         self.pad2 = np.zeros((HIDDEN, h + 2, w + 2))
         self.cols2 = np.empty((HIDDEN, 9, h, w))
-        self.z1, self.z2, self.a2, self.dz = np.empty((4, HIDDEN, h, w))
+        self.a2, self.dz = np.empty((2, HIDDEN, h, w))
         self.logits = np.empty((num_classes, h, w))
         self.dcols = np.empty((HIDDEN, (h + 2) * (w + 2)))
         self.acc = np.empty((HIDDEN, h + 2, w + 2))
@@ -241,21 +250,23 @@ class TinyNet:
     def forward_with_cache(self, image):
         """Probabilities and the cache for backward_from_probs.
 
-        The cache holds workspace buffers: it is valid until the next forward
-        on this net.  The probabilities are a fresh array.
+        The cache holds the workspace's im2col matrices cols1 and cols2 and
+        the second conv's activation a2, plus the probabilities, a fresh
+        array; it is valid until the next forward on this net.  The backward
+        reads the relu masks off a2 and cols2's centre tap.
         """
         x = self._as_input(image)
         ws = self._workspace(x.shape)
         ws.pad1[:, 1:-1, 1:-1] = x
-        z1 = _conv3(_gather3(ws.pad1, ws.cols1), self.param("w1"), self.param("b1"), ws.z1)
+        z1 = _conv3(_gather3(ws.pad1, ws.cols1), self.param("w1"), self.param("b1"), ws.a2)
         np.maximum(z1, 0.0, out=ws.pad2[:, 1:-1, 1:-1])
-        z2 = _conv3(_gather3(ws.pad2, ws.cols2), self.param("w2"), self.param("b2"), ws.z2)
-        a2 = np.maximum(z2, 0.0, out=ws.a2)
+        z2 = _conv3(_gather3(ws.pad2, ws.cols2), self.param("w2"), self.param("b2"), ws.a2)
+        a2 = np.maximum(z2, 0.0, out=z2)
         logits = ws.logits
         np.matmul(self.param("w3"), a2.reshape(HIDDEN, -1), out=logits.reshape(self.num_classes, -1))
         logits += self.param("b3")[:, None, None]
         probs = _softmax(logits)
-        cache = {"cols1": ws.cols1, "z1": z1, "cols2": ws.cols2, "z2": z2, "a2": a2, "probs": probs}
+        cache = {"cols1": ws.cols1, "cols2": ws.cols2, "a2": a2, "probs": probs}
         return probs, cache
 
     def forward(self, image) -> np.ndarray:
@@ -277,10 +288,10 @@ class TinyNet:
         db3 = dz3.sum(axis=(1, 2))
         dz = ws.dz
         np.matmul(self.param("w3").T, dz3.reshape(k, -1), out=dz.reshape(HIDDEN, -1))
-        dz *= cache["z2"] > 0
+        dz *= a2 > 0
         dw2, db2 = _conv3_param_grads(dz, cache["cols2"], self.param("w2"))
         da1 = _conv3_input_grad(dz, self.param("w2"), ws)
-        np.multiply(da1, cache["z1"] > 0, out=dz)
+        np.multiply(da1, cache["cols2"][:, 4] > 0, out=dz)  # the centre tap is relu(z1)
         dw1, db1 = _conv3_param_grads(dz, cache["cols1"], self.param("w1"))
         grad = np.empty_like(self.theta)
         for name, part in (("w1", dw1), ("b1", db1), ("w2", dw2),
@@ -321,10 +332,12 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
 
     probs is a (K, H, W) probability field.  Returns the terms (ce, point,
     line and their weighted total) and the gradient of the total w.r.t.
-    probs: the losses' fresh potential-domain gradients are weighted and
-    summed in place (so at most three energy-sized arrays are alive) and
-    chained back through the converter's adjoint.  A potential term is
-    evaluated only when its weight is positive, and reads 0.0 otherwise.
+    probs.  The point gradient, a fresh array, is weighted in place, and the
+    line loss adds its weighted gradient into it block by block (or into a
+    fresh array when lambda1 is 0), so two energy-sized arrays are alive:
+    the predicted energies and the gradient.  That gradient is chained back
+    through the converter's adjoint.  A potential term is evaluated only
+    when its weight is positive, and reads 0.0 otherwise.
     target is ground_truth(labels, ...), built here when needed and not
     given.  With want_grad False only the terms are computed and the
     gradient is None: no loss builds one, nothing runs through the adjoint.
@@ -341,16 +354,16 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
         if loss.lambda1 > 0:
             pt = point_loss(target.energies, e_pred, loss, want_grad=want_grad)
             terms["point"] = pt.value
+            e_grad = pt.gradient
             if want_grad:
-                e_grad = pt.gradient
                 e_grad *= loss.lambda1
         if loss.lambda2 > 0:
-            # Keep these four arguments positional: perfbench/tracer.py unpacks them.
-            ln = equipotential_line_loss(target, e_pred, loss, cfg.ac.radius, want_grad=want_grad)
+            # Keep these four arguments positional and e_pred unwritten:
+            # perfbench/tracer.py unpacks them and rescores e_pred after the call.
+            ln = equipotential_line_loss(target, e_pred, loss, cfg.ac.radius, want_grad=want_grad,
+                                         weight=loss.lambda2, add_to=e_grad)
             terms["line"] = ln.value
-            if want_grad:
-                ln.gradient *= loss.lambda2
-                e_grad = ln.gradient if e_grad is None else np.add(e_grad, ln.gradient, out=e_grad)
+            e_grad = ln.gradient
         if want_grad:
             dprobs += _convert_adjoint(e_grad, cfg)
     terms["total"] = terms["ce"] + loss.lambda1 * terms["point"] + loss.lambda2 * terms["line"]
@@ -389,7 +402,9 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
     `eval_dataset` (the training set when none is given).  The net has a
     class for every label up to the largest of either set.  Labels never
     change, so the loss targets are built once per run.  Runs are
-    deterministic for a fixed config.
+    deterministic for a fixed config.  TrainingDiverged, naming the epoch
+    and the sample or batch, stops a run whose loss or updated parameters
+    are not finite.
     """
     samples = list(dataset)
     eval_samples = samples if eval_dataset is None else list(eval_dataset)
@@ -421,6 +436,13 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
             grad /= len(batch)
             velocity = cfg.momentum * velocity - cfg.learning_rate * grad
             net.theta += velocity
+            bad = np.count_nonzero(~(np.abs(net.theta) <= PARAM_LIMIT))
+            if bad:
+                raise TrainingDiverged(
+                    f"epoch {epoch}, batch {start // cfg.batch_size}: the update left {bad} of "
+                    f"{net.theta.size} parameters non-finite or beyond the float32 range of "
+                    f"a checkpoint"
+                )
         record = {"epoch": epoch}
         record.update({f"loss_{k}": sums[k] / len(order) for k in ("ce", "point", "line", "total")})
         record.update(_epoch_metrics(net, eval_samples))

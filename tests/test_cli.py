@@ -820,14 +820,30 @@ class TestErrorPaths:
 
     def test_ablate_names_the_step_of_a_non_finite_loss_term(self, tmp_path, tiny_config,
                                                               capsys, monkeypatch):
-        def infinite_line(target, e_pred, cfg, radius, want_grad=True):
-            return LossValue(float("inf"), np.zeros_like(e_pred) if want_grad else None)
+        def infinite_line(target, e_pred, cfg, radius, want_grad=True, *, weight=1.0,
+                          add_to=None):
+            grad = (np.zeros_like(e_pred) if add_to is None else add_to) if want_grad else None
+            return LossValue(float("inf"), grad)
 
         monkeypatch.setattr(model, "equipotential_line_loss", infinite_line)
         out = tmp_path / "ablate"
         assert run("ablate", "--config", tiny_config, "--sweep", "mu", "--out", out) == 1
         err = capsys.readouterr().err
         assert re.search(r"error: epoch 0, sample \d+: non-finite loss term\(s\) line: ", err)
+        assert not out.exists()
+
+    def test_a_diverged_last_update_exits_1_and_writes_no_checkpoint(self, tmp_path, capsys):
+        # one batch, so the update that diverges is the run's last: no later loss sees it
+        data, out = tmp_path / "data", tmp_path / "run"
+        assert run("gen", "--seed", 1, "--count", 6, "--height", 16, "--width", 16,
+                   "--out", data) == 0
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):  # the update overflows on purpose
+            code = run("train", "--data", data, "--out", out, "--epochs", 1,
+                       "--learning-rate", 1e308)
+        assert code == 1
+        assert re.search(r"^error: epoch 0, batch 0: the update left \d+ of 691 parameters "
+                         r"non-finite or beyond the float32 range", capsys.readouterr().err)
         assert not out.exists()
 
     def test_loss_rejects_a_flat_sidecar_config(self, tmp_path, tiny_config, capsys):

@@ -230,9 +230,9 @@ class TestLineLoss:
         asked = []
         real = losses._line_terms
 
-        def spy(*args):
-            asked.append(args[-1])
-            return real(*args)
+        def spy(gt, e_pred, mu, radius, want_grad, *rest):
+            asked.append(want_grad)
+            return real(gt, e_pred, mu, radius, want_grad, *rest)
 
         monkeypatch.setattr(losses, "_line_terms", spy)
         for seed in range(4):
@@ -468,6 +468,49 @@ class TestLineLossReference:
         tiny = np.exp(args)
         assert (args == arg).any() and ((tiny > 0) & (tiny < np.finfo(float).tiny)).any()
         self._assert_matches(gt, pred, mu, radius)
+
+
+class TestLineLossAddInto:
+    """With add_to, the line loss adds its weighted gradient into the caller's array."""
+
+    @pytest.mark.parametrize("splitter", ["A", "C"])
+    @pytest.mark.parametrize("mu", [2, 10])
+    def test_equals_base_plus_the_weighted_fresh_gradient(self, mu, splitter):
+        gt, pred, radius = _ac_case(splitter, 7, (16, 16), 3)
+        pred[:, 1] = gt[:, 1]  # capped terms: whole planes without gradient
+        cfg = LossConfig(mu_exp=mu)
+        fresh = equipotential_line_loss(gt, pred, cfg, radius)
+        assert (fresh.gradient == 0.0).any() and (fresh.gradient != 0.0).any()
+        base = np.random.default_rng(mu).normal(0.0, 1e-3, pred.shape)
+        base[:, 1] = -0.0
+        base[:, 0, 0, :2] = (-0.0, 0.0)  # over nonzero gradient too
+        for weight in (1.0, 0.01, 0.3):
+            add_to = base.copy()
+            loss = equipotential_line_loss(gt, pred, cfg, radius, weight=weight, add_to=add_to)
+            assert loss.gradient is add_to and loss.value == fresh.value
+            for got, expected in ((add_to, base + weight * fresh.gradient),
+                                  (equipotential_line_loss(gt, pred, cfg, radius,
+                                                           weight=weight).gradient,
+                                   weight * fresh.gradient)):
+                npt.assert_array_equal(got, expected)
+                npt.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    def test_value_only_call_leaves_it_untouched(self):
+        gt, pred, radius = _ac_case("A", 5, (8, 8), 1)
+        add_to = np.full(pred.shape, 7.0)
+        loss = equipotential_line_loss(gt, pred, LossConfig(), radius, want_grad=False,
+                                       weight=0.5, add_to=add_to)
+        assert loss.gradient is None and (add_to == 7.0).all()
+
+    @pytest.mark.parametrize("bad", ["shape", "dtype", "strided", "list"])
+    def test_rejects_an_array_it_cannot_add_into(self, bad):
+        gt, pred, radius = _ac_case("A", 5, (8, 8), 1)
+        add_to = {"shape": np.zeros(pred.shape[:-1] + (9,)),
+                  "dtype": np.zeros(pred.shape, dtype=np.float32),
+                  "strided": np.zeros(pred.shape[:-1] + (16,))[..., ::2],
+                  "list": np.zeros(pred.shape).tolist()}[bad]
+        with pytest.raises(ValueError, match="add_to must be a C-contiguous float64 array"):
+            equipotential_line_loss(gt, pred, LossConfig(), radius, add_to=add_to)
 
 
 class TestLineTarget:

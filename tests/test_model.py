@@ -127,10 +127,17 @@ class TestConvReference:
             probs, cache = net.forward_with_cache(image)
             ref_probs, ref_cache, ref_grad = reference_forward_backward(net, image, dprobs)
             npt.assert_array_equal(probs, ref_probs)
-            assert cache.keys() == ref_cache.keys()
+            # no pre-activation is kept: the backward masks on a2 and cols2's centre tap
+            assert cache.keys() == {"cols1", "cols2", "a2", "probs"}
             for key in cache:
                 npt.assert_array_equal(cache[key], ref_cache[key], err_msg=key)
             npt.assert_array_equal(net.backward_from_probs(cache, dprobs), ref_grad)
+
+    def test_the_64x64_workspace_is_at_most_4_2_mb(self):
+        net = TinyNet(1, 3, seed=0)
+        net.forward(np.zeros((64, 64)))
+        size = sum(a.nbytes for a in vars(net._ws).values() if isinstance(a, np.ndarray))
+        assert size <= 4.2e6, f"{size / 1e6:.2f} MB"
 
     def test_buffers_are_reused_and_outputs_are_fresh(self):
         rng = np.random.default_rng(12)
@@ -259,24 +266,46 @@ class TestObjectiveInPlace:
         npt.assert_array_equal(dprobs, expected)
         npt.assert_array_equal(np.signbit(dprobs), np.signbit(expected))
 
-    def test_a_step_holds_at_most_four_energy_tensors(self):
+    @staticmethod
+    def _peak_in_energy_tensors(prebuilt_target, norm="l2"):
         spec = datagen.SceneSpec(kind="adjacent_rects", height=96, width=96, classes=3,
                                  noise_sigma=0.1, count=1, seed=0)
         s = datagen.generate_sample(spec, 0)
-        cfg = TrainConfig(loss=LossConfig(mu_exp=2), ac=ACConfig(kernel_size=9, splitter="C"))
+        cfg = TrainConfig(loss=LossConfig(mu_exp=2, norm=norm),
+                          ac=ACConfig(kernel_size=9, splitter="C"))
         probs = TinyNet(1, 3, seed=0).forward(s.image)
-        target = model.ground_truth(s.labels, 3, cfg)
-        energy_bytes = 8 * len(cfg.ac.directions) * probs.size
+        target = model.ground_truth(s.labels, 3, cfg) if prebuilt_target else None
         tracemalloc.start()
         try:
             model.objective(probs, s.labels, cfg, target)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * energy_bytes, f"peak {peak / energy_bytes:.2f} energy tensors"
+        return peak / (8 * len(cfg.ac.directions) * probs.size)
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_a_step_holds_at_most_three_energy_tensors(self, norm):
+        # e_pred and the gradient, plus the line loss's blocks and smaller arrays
+        peak = self._peak_in_energy_tensors(prebuilt_target=True, norm=norm)
+        assert peak <= 3, f"peak {peak:.2f} energy tensors"
+
+    def test_a_call_that_builds_its_target_holds_at_most_four_and_a_half(self):
+        # as epl loss calls it, for every sample
+        peak = self._peak_in_energy_tensors(prebuilt_target=False)
+        assert peak <= 4.5, f"peak {peak:.2f} energy tensors"
 
 
 class TestTrain:
+    @pytest.mark.parametrize("count", [2, 4], ids=["last-update", "first-of-two"])
+    def test_a_diverged_update_raises_naming_epoch_and_batch(self, count):
+        samples = [tiny_sample(seed=i) for i in range(count)]
+        cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=1e308,
+                          ac=ACConfig(kernel_size=5))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(  # overflow on purpose
+                TrainingDiverged, match=r"^epoch 0, batch 0: the update left \d+ of 691 "
+                                        r"parameters non-finite or beyond the float32 range"):
+            model.train(samples, cfg)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="^dataset is empty"):
             model.train([], small_cfg())
