@@ -8,10 +8,8 @@ of both energy planes and compares them with a normalized dice-style
 coefficient (EDC) that equals 1 exactly when the prediction matches the
 ground truth.  Cross-entropy and plain dice are probability-domain
 baselines.  The point loss builds its gradient in place in its one fresh
-array.  The line loss adds its gradient, times a weight, a row block at a
-time into a caller's array or a fresh one.  So ``model.objective``, the one
-place that forms the weighted training total and its gradient, weighs the
-point gradient in place and has the line loss add into it.
+array, and the line loss adds its weighted gradient into a caller's array
+(``model.objective`` passes the weighted point gradient) or a fresh one.
 
 The membership activation is evaluated over the whole plane, which keeps the
 line loss differentiable everywhere; the sorted equal-count line regions are
@@ -33,8 +31,9 @@ with each float64 temporary capped at LINE_BLOCK_BYTES so a block stays in
 L2.  Both paths keep the summation order of one plane at a time, so the
 results are bit-identical to it.  Each block and level makes one exp call:
 lanes whose argument is at or below EXP_ZERO_BELOW, where exp is exactly 0,
-are set to 0 before it and zeroed after it.  The block's gradient rows are
-added in one go, with the rows of skipped and capped terms zeroed first.
+are set to 0 before it and zeroed after it.  A block's gradient terms, with
+the rows of skipped and capped terms zeroed, are summed over the levels in a
+block-sized buffer, which is scaled and added into the gradient rows.
 """
 
 from __future__ import annotations
@@ -116,10 +115,9 @@ def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True) -> LossVal
 
     With delta = gt - pred, the value is sum |delta| (or delta**2) divided by
     the direction count |S| and by the element count K * H * W of one
-    direction.  The value is summed from delta's squares (or magnitudes),
-    taken in place; delta is then recomputed into the same array and turned
-    into the gradient w.r.t. the prediction in place, so the call holds one
-    array of the energies' size.  The gradient is None with want_grad False.
+    direction.  Its one fresh array holds delta squared (or made absolute)
+    for the value, then delta again, turned into the gradient w.r.t. the
+    prediction in place; the gradient is None with want_grad False.
     """
     gt = np.asarray(e_gt)  # gt - pred promotes a uint8 ground truth exactly, with no copy
     pred = np.asarray(e_pred, dtype=np.float64)
@@ -285,18 +283,16 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
     gt is a LineTarget or the raw ground-truth energies.  Returns the EDC
     array (|S|, K, radius) with NaN at skipped levels, the boolean mask of
     scored terms that are not capped (EDC < 1, or NaN from a non-finite
-    prediction), and, on request, the gradient array: weight / |S| times the
-    gradient of their sum of (1 - EDC) w.r.t. the prediction, added into
-    add_to or into a fresh array.
+    prediction), and, on request, add_to (or a fresh array) plus weight / |S|
+    times the gradient of their sum of (1 - EDC) w.r.t. the prediction.
 
     Planes are processed in blocks of whole rows, so that each float64
     temporary stays within LINE_BLOCK_BYTES, and each block goes through
     the levels in order: every gradient element sums its terms in level
     order and every row sum is the plane's own pairwise sum, as when one
-    plane was scored at a time.  A block's level sum is scaled by 1/|S|,
-    then by weight, and then added into the gradient rows.  The fresh array
-    is filled with -0.0, the exact additive identity, so it receives the
-    scaled sums unchanged, signed zeros included.
+    plane was scored at a time.  A block's sum is scaled by 1/|S| and then
+    by weight before it is added.  A fresh array starts at -0.0, the exact
+    additive identity, so it takes the scaled sums with their zero signs.
     """
     target = gt if isinstance(gt, LineTarget) else line_target(gt, mu, radius)
     if (target.mu, target.radius) != (mu, radius):
@@ -392,11 +388,9 @@ def equipotential_line_loss(gt, e_pred, cfg: LossConfig, radius: int, want_grad:
     pixel at exactly that energy) are skipped.  gt is the ground-truth
     energy array or the LineTarget built from it by :func:`line_target`.
 
-    The gradient is weight times the gradient of the value.  It is added
-    into add_to, a C-contiguous float64 array of the prediction's shape that
-    is returned as the gradient, or into a fresh array when add_to is None;
-    either way no other array of that size is made.  With want_grad False
-    the gradient is not built, add_to is not touched and the gradient is None.
+    The gradient is add_to (a C-contiguous float64 array of the prediction's
+    shape) or a fresh array, plus weight times the value's gradient, added
+    in place.  With want_grad False add_to is untouched and it is None.
     """
     edc, counted, grad = _line_terms(gt, e_pred, cfg.mu_exp, radius, want_grad, weight, add_to)
     total = 0.0

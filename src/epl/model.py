@@ -109,10 +109,9 @@ class _Workspace:
 
     Forward: the zero-bordered padded inputs (pad1, pad2) and im2col
     matrices (cols1, cols2) of both 3x3 convs, a2 and the logits.  Both conv
-    GEMMs write into a2 and relu is applied in place: conv1's into pad2's
-    interior, conv2's into a2 itself.  No pre-activation is kept, since the
-    backward needs only where it is positive, and relu(z) > 0 exactly when
-    z > 0: the masks are a2 > 0 and cols2's centre tap (relu(z1)) > 0.
+    GEMMs write into a2 and relu runs in place (conv1's into pad2's
+    interior).  The backward reads the relu masks off a2 and cols2's centre
+    tap, relu(z1), since relu(z) > 0 exactly when z > 0.
     Backward: the hidden-layer gradient dz; for the second conv's col2im,
     one tap's columns dcols (HIDDEN, (H+2)*(W+2)) over the padded planes and
     the padded accumulator acc.  Two forward buffers are reused once the
@@ -250,10 +249,9 @@ class TinyNet:
     def forward_with_cache(self, image):
         """Probabilities and the cache for backward_from_probs.
 
-        The cache holds the workspace's im2col matrices cols1 and cols2 and
-        the second conv's activation a2, plus the probabilities, a fresh
-        array; it is valid until the next forward on this net.  The backward
-        reads the relu masks off a2 and cols2's centre tap.
+        The cache holds workspace buffers (cols1, cols2 and a2, no
+        pre-activation): it is valid until the next forward on this net.
+        The probabilities are a fresh array.
         """
         x = self._as_input(image)
         ws = self._workspace(x.shape)
