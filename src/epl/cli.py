@@ -86,8 +86,7 @@ def cmd_convert(args, cfg: dict) -> int:
     if args.render is not None:
         render_dir = Path(args.render)
         render_dir.mkdir(parents=True, exist_ok=True)
-        ac = train_cfg.ac  # a binary plane's largest energy: a whole ray, or the whole box
-        scale = 255.0 / (ac.radius + 1 if ac.converter == "ac" else ac.kernel_size ** 2)
+        scale = 255.0 / train_cfg.ac.max_energy
         for si in range(energies.shape[0]):
             for ci in range(energies.shape[1]):
                 plane = np.rint(energies[si, ci] * scale).astype(np.int32)

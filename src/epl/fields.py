@@ -14,16 +14,20 @@ diagonals, C all eight (SPLITTERS).  ACConfig holds the kind, as its config
 section does, and ACConfig.directions looks it up.
 
 Kernel and mask weights are fixed constants; nothing here is trained.  All
-operations are pure functions and accumulate in float64.
+operations are pure functions and accumulate in float64, except that the
+conversions keep an unsigned-integer field's dtype and sum it in integers:
+a one-hot field in the dtype of its largest energy (ACConfig.max_energy)
+gives the exact energies with no float64 array.
 
 The conversions shift by flat offsets: the planes are copied into a
-buffer with a zero border as wide as the reach and flattened, so a shift
-by (dy, dx) is one contiguous 1-D add at offset dy * row_length + dx, and
-the interior is cropped at the end.  Each pixel's terms are added in the
-same order as in-range slice adds would; the border contributes exact
-+0.0 terms, which change a sum only by turning an all -0.0 sum into +0.0
-(never the case for softmax outputs or one-hot fields).  The adjoint pads
-one direction's planes at a time, not all |S| at once.
+buffer with a zero border as wide as the reach and flattened, all planes
+into one run, so a shift by (dy, dx) is one contiguous 1-D add at offset
+dy * row_length + dx, and the interior is cropped at the end.  Each
+pixel's terms are added in the same order as in-range slice adds would;
+the border contributes exact +0.0 terms, which change a sum only by
+turning an all -0.0 sum into +0.0 (never the case for softmax outputs or
+one-hot fields).  The adjoint pads one direction's planes at a time, not
+all |S| at once.
 """
 
 from __future__ import annotations
@@ -73,9 +77,14 @@ class ACConfig:
     def directions(self) -> tuple[tuple[int, int], ...]:
         return SPLITTERS[self.splitter]
 
+    @property
+    def max_energy(self) -> int:
+        """A binary plane's largest energy: a whole ray, or the whole box for "sc"."""
+        return self.radius + 1 if self.converter == "ac" else self.kernel_size ** 2
 
-def one_hot(labels, num_classes: int) -> np.ndarray:
-    """One-hot encode an integer label map into a (K, H, W) field of {0, 1}."""
+
+def one_hot(labels, num_classes: int, dtype=np.float64) -> np.ndarray:
+    """One-hot encode an integer label map into a (K, H, W) field of {0, 1} in dtype."""
     lab = np.asarray(labels)
     if lab.ndim != 2:
         raise ValueError(f"label map must be 2-D, got shape {lab.shape}")
@@ -86,18 +95,23 @@ def one_hot(labels, num_classes: int) -> np.ndarray:
     lo, hi = int(lab.min()), int(lab.max())
     if lo < 0 or hi >= num_classes:
         raise ValueError(f"labels must lie in [0, {num_classes}), found range [{lo}, {hi}]")
-    out = np.zeros((num_classes, lab.size), dtype=np.float64)
-    out[lab.ravel(), np.arange(lab.size)] = 1.0
-    return out.reshape((num_classes,) + lab.shape)
+    return _one_hot(lab, num_classes, dtype)
+
+
+def _one_hot(lab, num_classes: int, dtype) -> np.ndarray:
+    """one_hot of a label map that has passed its checks."""
+    out = np.empty((num_classes,) + np.shape(lab), dtype=dtype)
+    return np.equal(lab, np.arange(num_classes)[:, None, None], out=out)
 
 
 def _add_at_offset(acc: np.ndarray, src: np.ndarray, offset: int) -> None:
     """acc[..., i] += src[..., i + offset] in place, wherever both indices exist.
 
-    Both arrays hold flattened planes along their last axis, so a 2-D shift
-    (dy, dx) of a plane with row length wp is the flat offset dy * wp + dx.
-    With a zero border at least as wide as the shift, the source of every
-    interior pixel stays in its own row and plane, and the border adds zeros.
+    Both arrays hold flattened planes along their last axis (the conversions
+    put all planes in one run), so a 2-D shift (dy, dx) of a plane with row
+    length wp is the flat offset dy * wp + dx.  With a zero border at least
+    as wide as the shift, the source of every interior pixel stays in its
+    own row and plane, and the border adds zeros.
     """
     n = acc.shape[-1]
     lo, hi = max(0, -offset), min(n, n - offset)
@@ -108,13 +122,16 @@ def _add_at_offset(acc: np.ndarray, src: np.ndarray, offset: int) -> None:
 def _zero_bordered(f: np.ndarray, r: int) -> np.ndarray:
     """(K, H, W) planes copied into the interior of a zeroed (K, H+2r, W+2r) buffer."""
     k, h, w = f.shape
-    pad = np.zeros((k, h + 2 * r, w + 2 * r))
+    pad = np.zeros((k, h + 2 * r, w + 2 * r), dtype=f.dtype)
     pad[:, r:r + h, r:r + w] = f
     return pad
 
 
 def _as_field(field) -> np.ndarray:
-    f = np.asarray(field, dtype=np.float64)
+    """field as an array: an unsigned-integer one as it is, any other in float64."""
+    f = np.asarray(field)
+    if f.dtype.kind != "u":
+        f = f.astype(np.float64, copy=False)
     if f.ndim != 3:
         raise ValueError(f"field must have shape (classes, height, width), got {f.shape}")
     return f
@@ -127,6 +144,8 @@ def anisotropic_convolve(field, cfg: ACConfig) -> np.ndarray:
     ``E[s, c, p] = sum_{t=0..radius} field[c, p + t*s]`` with zero padding,
     i.e. the box kernel restricted to the ray from the center along s.
     The map is linear in the field, so it accepts any real-valued input.
+    An unsigned-integer field keeps its dtype, which must hold every sum
+    (radius + 1 times its largest value); a sum beyond it wraps.
     """
     f = _as_field(field)
     k, h, w = f.shape
@@ -134,9 +153,9 @@ def anisotropic_convolve(field, cfg: ACConfig) -> np.ndarray:
     dirs = cfg.directions
     pad = _zero_bordered(f, r)
     wp = pad.shape[-1]
-    flat = pad.reshape(k, -1)
+    flat = pad.reshape(-1)
     acc = np.empty_like(flat)
-    out = np.empty((len(dirs),) + f.shape, dtype=np.float64)
+    out = np.empty((len(dirs),) + f.shape, dtype=f.dtype)
     for si, (dy, dx) in enumerate(dirs):
         acc[...] = flat
         for t in range(1, r + 1):
@@ -175,7 +194,9 @@ def standard_convolve(field, kernel_size: int) -> np.ndarray:
     """Per-class unnormalized box sum with zero padding (the isotropic ablation).
 
     No directional mask: every pixel of the odd kernel_size x kernel_size
-    window contributes.  Output has the same (K, H, W) shape as the input.
+    window contributes.  Output has the same (K, H, W) shape as the input,
+    and an unsigned-integer field keeps its dtype as in anisotropic_convolve
+    (every sum, up to kernel_size**2 times its largest value, must fit).
     """
     if kernel_size < 1 or kernel_size % 2 == 0:
         raise ValueError(f"kernel_size must be odd, got {kernel_size}")
@@ -184,7 +205,7 @@ def standard_convolve(field, kernel_size: int) -> np.ndarray:
     r = kernel_size // 2
     pad = _zero_bordered(f, r)
     wp = pad.shape[-1]
-    flat = pad.reshape(k, -1)
+    flat = pad.reshape(-1)
     # Column sums first; their border columns stay +0.0 for the row pass, and
     # no interior pixel of the row pass reads their (nonzero) border rows.
     rows = flat.copy()

@@ -17,15 +17,15 @@ still available via :func:`build_line_regions` for diagnostics and
 visualization.  All computation is float64 with fixed summation order, so
 results are deterministic.
 
-The ground-truth side of the line loss depends on the labels alone, so
-:func:`line_target` builds it once per sample and training reuses it at
-every step.  The energies of a one-hot field are nonnegative integers, and
-it keeps them in the smallest unsigned dtype (uint8 for every converter and
-kernel the CLI offers), three scalars per (level, direction, class) --
-whether the level has a ground-truth pixel, the membership mass and its
-squared mass -- and one small table per level from which the memberships
-are gathered.  At 64x64 with 3 classes, splitter A and kernel 7 that is
-48 KiB per sample; no float64 plane is cached.  The prediction side is
+The ground-truth side of the line loss depends on the labels alone:
+:func:`line_target` holds the energies of a one-hot field, nonnegative
+integers in an unsigned dtype (uint8 for every converter and kernel the
+CLI offers), three scalars per (level, direction, class) -- whether the
+level has a ground-truth pixel, the membership mass and its squared mass --
+and one small table per level from which the memberships are gathered.
+Training keeps only the level tables of each sample, 1.8 KiB at 96x96 with
+3 classes, splitter C and kernel 9, and rebuilds the energies (216 KiB
+there) from the labels in integers at each step.  The prediction side is
 evaluated a block of (direction, class) planes at a time for each level,
 with each float64 temporary capped at LINE_BLOCK_BYTES so a block stays in
 L2.  Both paths keep the summation order of one plane at a time, so the
@@ -222,7 +222,8 @@ class LineTarget:
     """The ground-truth side of the line loss, fixed by the labels.
 
     ``energies`` holds the nonnegative integer ground-truth energies
-    (|S|, K, H, W) in the smallest unsigned dtype that fits them.
+    (|S|, K, H, W) in an unsigned dtype; the rest are the level tables,
+    which a training run keeps with ``energies`` None (see model.objective).
     ``luts[t]`` maps an energy k to the membership ``exp(-(k - (t + 1))**mu)``.
     ``present``, ``mass`` and ``sq_mass`` are (radius, |S| * K): whether the
     level has a ground-truth pixel, and the sums of the memberships and of
@@ -243,7 +244,9 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
 
     e_gt is (|S|, K, H, W) and must hold integers in [0, MAX_ENERGY_SPAN), as
     every converter gives for a one-hot field; the whole range from 0 to its
-    largest energy (kernel_size**2 for the box filter) is covered.
+    largest energy (kernel_size**2 for the box filter) is covered.  Unsigned
+    integer energies are kept as given, others are stored in the smallest
+    unsigned dtype that holds them.
     """
     if type(mu) is not int or mu < 2 or mu % 2 != 0:
         raise ValueError(f"mu must be an even integer >= 2, got {mu!r}")
@@ -259,7 +262,7 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
         raise ValueError(
             f"ground-truth energies must lie in [0, {MAX_ENERGY_SPAN - 1}], got [{lo}, {hi}]"
         )
-    energies = gt.astype(np.min_scalar_type(hi))
+    energies = gt if gt.dtype.kind == "u" else gt.astype(np.min_scalar_type(hi))
     values = np.arange(hi + 1)
     levels = np.arange(1, radius + 1, dtype=np.float64)
     luts = np.exp(-_int_pow(values[None, :] - levels[:, None], mu))

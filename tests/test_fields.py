@@ -39,6 +39,13 @@ class TestOneHot:
                 assert out[:, y, x].sum() == 1.0
                 assert out[lab[y, x], y, x] == 1.0
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, bool])
+    def test_in_another_dtype(self, dtype):
+        lab = np.random.default_rng(1).integers(0, 3, (5, 7))
+        out = one_hot(lab, 3, dtype)
+        assert out.dtype == dtype
+        npt.assert_array_equal(out, one_hot(lab, 3))
+
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             one_hot(np.array([[3]]), 3)
@@ -78,6 +85,15 @@ class TestACConfig:
     def test_radius(self):
         assert cfg(5).radius == 2
         assert cfg(7).radius == 3
+
+    @pytest.mark.parametrize("w", [3, 5, 9])
+    def test_max_energy_is_a_full_planes_largest(self, w):
+        ones = np.ones((1, 2 * w, 2 * w))
+        for kind in "ABC":
+            ray = cfg(w, kind)
+            assert ray.max_energy == anisotropic_convolve(ones, ray).max() == w // 2 + 1
+        box = ACConfig(kernel_size=w, converter="sc")
+        assert box.max_energy == standard_convolve(ones, w).max() == w * w
 
 
 class TestAnisotropicConvolve:
@@ -294,3 +310,18 @@ class TestShiftedCopyReference:
             g = rng.normal(size=e.shape)
             npt.assert_array_equal(ac_adjoint(g, c), self.reference_adjoint(g, c))
         npt.assert_array_equal(standard_convolve(f, w), self.reference_box(f, w))
+
+    @pytest.mark.parametrize("shape", [(3, 10, 10), (3, 1, 9), (3, 9, 1), (2, 3, 3)])
+    @pytest.mark.parametrize("w", [3, 9])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16])
+    def test_an_unsigned_field_keeps_its_dtype(self, shape, w, dtype):
+        labels = np.random.default_rng(w).integers(0, shape[0], shape[1:])
+        f = one_hot(labels, shape[0], dtype)
+        for kind in "ABC":
+            e = anisotropic_convolve(f, cfg(w, kind))
+            assert e.dtype == dtype
+            npt.assert_array_equal(e, anisotropic_convolve(f.astype(float), cfg(w, kind)))
+        box = standard_convolve(f, w)
+        assert box.dtype == dtype
+        npt.assert_array_equal(box, self.reference_box(f.astype(float), w))
+        assert anisotropic_convolve(f.astype(np.int64), cfg(w)).dtype == np.float64

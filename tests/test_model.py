@@ -1,14 +1,21 @@
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from epl import datagen, model
-from epl.fields import ACConfig
+from epl.fields import ACConfig, one_hot
 from epl.io import FormatError
-from epl.losses import LossConfig, cross_entropy_loss, equipotential_line_loss, point_loss
+from epl.losses import (
+    LineTarget,
+    LossConfig,
+    cross_entropy_loss,
+    equipotential_line_loss,
+    point_loss,
+)
 from epl.model import TinyNet, TrainConfig, TrainingDiverged
 from shift_reference import shift2d
 
@@ -293,6 +300,94 @@ class TestObjectiveInPlace:
         # as epl loss calls it, for every sample
         peak = self._peak_in_energy_tensors(prebuilt_target=False)
         assert peak <= 4.5, f"peak {peak:.2f} energy tensors"
+
+
+def _label_maps():
+    rng = np.random.default_rng(5)
+    blocky = np.kron(rng.integers(0, 3, (5, 4)), np.ones((6, 7), dtype=int))[:29, :26]
+    return {"random": rng.integers(0, 3, (23, 19)), "blocky": blocky,
+            "row": rng.integers(0, 3, (1, 31)), "column": rng.integers(0, 3, (31, 1)),
+            "single-class": np.full((25, 27), 2)}
+
+
+LABEL_MAPS = _label_maps()
+INTEGER_CASES = ([ACConfig(kernel_size=k, splitter=s) for s in "ABC" for k in range(3, 16, 2)]
+                 + [ACConfig(kernel_size=k, converter="sc") for k in (15, 17, 21)])
+
+
+class TestIntegerGroundTruth:
+    """The ground-truth energies are built in integers, at each training step."""
+
+    @pytest.mark.parametrize("labels", LABEL_MAPS.values(), ids=LABEL_MAPS.keys())
+    @pytest.mark.parametrize("ac", INTEGER_CASES,
+                             ids=lambda ac: f"{ac.converter}-{ac.splitter}-k{ac.kernel_size}")
+    def test_bit_identical_to_the_float_conversion(self, monkeypatch, ac, labels):
+        cfg = TrainConfig(loss=LossConfig(mu_exp=2), ac=ac)
+        expected = model.convert(one_hot(labels, 3), cfg)
+        # uint8 up to a largest energy of 255: SC crosses to uint16 at k = 17 (289)
+        dtype = np.uint8 if ac.converter == "ac" or ac.kernel_size ** 2 <= 255 else np.uint16
+        full = model.ground_truth(labels, 3, cfg)
+        assert full.energies.dtype == dtype
+        npt.assert_array_equal(full.energies, expected)
+        seen = []
+
+        def line_loss(*args, **kwargs):
+            seen.append(args)
+            return equipotential_line_loss(*args, **kwargs)
+
+        monkeypatch.setattr(model, "equipotential_line_loss", line_loss)
+        monkeypatch.setattr(model, "line_target", None)  # a step builds no line target
+        probs = np.full((3,) + labels.shape, 1.0 / 3)
+        tables = replace(full, energies=None)
+        terms, dprobs = model.objective(probs, labels, cfg, tables)
+        (target, e_pred, loss_cfg, radius), = seen  # the positional call perfbench unpacks
+        assert isinstance(target, LineTarget) and target.energies.dtype == dtype
+        npt.assert_array_equal(target.energies, expected)
+        assert all(getattr(target, n) is getattr(full, n) for n in ("luts", "present", "mass"))
+        terms_full, dprobs_full = model.objective(probs, labels, cfg, full)
+        assert terms == terms_full
+        npt.assert_array_equal(dprobs, dprobs_full)
+
+    @pytest.mark.parametrize("converter", ["ac", "sc"])
+    def test_a_run_is_identical_with_prebuilt_full_targets(self, monkeypatch, converter):
+        samples = [tiny_sample(seed=s) for s in (1, 2, 3)]
+        cfg = small_cfg(converter=converter)
+        net, history = model.train(samples, cfg)
+        original = model.backward
+        passed = []
+
+        def with_full_target(net, image, labels, cfg, target=None):
+            passed.append(target.energies)
+            return original(net, image, labels, cfg, model.ground_truth(labels, 3, cfg))
+
+        monkeypatch.setattr(model, "backward", with_full_target)
+        net_full, history_full = model.train(samples, cfg)
+        assert len(passed) == 6 and all(e is None for e in passed)
+        npt.assert_array_equal(net.theta, net_full.theta)
+        assert history == history_full
+
+    def test_a_run_keeps_at_most_2_kib_per_sample(self, monkeypatch):
+        spec = datagen.SceneSpec(kind="mixed", height=96, width=96, classes=3,
+                                 noise_sigma=0.1, count=2, seed=0)
+        samples = [datagen.generate_sample(spec, i) for i in range(2)]
+        cfg = TrainConfig(epochs=1, batch_size=1, loss=LossConfig(mu_exp=2),
+                          ac=ACConfig(kernel_size=9, splitter="C"))
+        held = []
+        original = model.backward
+
+        def record(net, image, labels, cfg, target=None):
+            held.append(target)
+            return original(net, image, labels, cfg, target)
+
+        monkeypatch.setattr(model, "backward", record)
+        model.train(samples, cfg)
+        assert len(held) == 2
+        for target in held:
+            assert target.energies is None
+            kept = sum(v.nbytes for v in vars(target).values() if isinstance(v, np.ndarray))
+            assert kept <= 2048, f"{kept} B per sample"
+        # what a held target's energies would take: |S| * K * H * W bytes
+        assert model.ground_truth(samples[0].labels, 3, cfg).energies.nbytes == 8 * 3 * 96 * 96
 
 
 class TestTrain:
