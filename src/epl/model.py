@@ -317,12 +317,11 @@ def _convert_adjoint(energy_grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
 def ground_truth(labels, num_classes: int, cfg: TrainConfig) -> LineTarget:
     """Everything the potential-domain losses need from one label map.
 
-    The checked labels' one-hot field and its conversion are built in the
-    smallest unsigned dtype that holds the largest energy (ACConfig.max_energy:
-    uint8 up to the box filter's kernel 15), so the energies are exact
-    integers with no float64 copy, and line_target keeps them as they are.
-    The point loss reads the same integer energies.  train runs this once
-    per sample and keeps only the level tables.
+    The labels are checked, and their one-hot field and its conversion are
+    built in the smallest unsigned dtype that holds the largest energy
+    (ACConfig.max_energy; uint8 up to the box filter's kernel 15): exact
+    integers with no float64 copy, which line_target keeps as they are.
+    The point loss reads the same integer energies.
     """
     field = one_hot(labels, num_classes, np.min_scalar_type(cfg.ac.max_energy))
     return line_target(convert(field, cfg), cfg.loss.mu_exp, cfg.ac.radius)
@@ -410,10 +409,11 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
     steps plus mIoU / trimap IoU / boundary F of the current net on
     `eval_dataset` (the training set when none is given).  The net has a
     class for every label up to the largest of either set.  Labels never
-    change, so each sample's line-target level tables (1.8 KiB at 96x96, 3
-    classes, splitter C, kernel 9) are built once per run; its integer
-    energies (216 KiB there) are rebuilt at each step, in 0.06 ms at 64x64
-    with splitter A and kernel 7 and 0.3 ms there.  Runs are
+    change, so each sample's ground truth is built once per run, and only
+    its line-target level tables are kept (1.8 KiB at 96x96, 3 classes,
+    splitter C, kernel 9); objective rebuilds its integer energies (216 KiB
+    there) at each step, in about 0.14 ms there and 0.08 ms at 64x64 with
+    splitter A and kernel 7 (one 2-CPU Xeon VM core).  Runs are
     deterministic for a fixed config.  TrainingDiverged, naming the epoch
     and the sample or batch, stops a run whose loss or updated parameters
     are not finite.

@@ -274,14 +274,16 @@ class TestObjectiveInPlace:
         npt.assert_array_equal(np.signbit(dprobs), np.signbit(expected))
 
     @staticmethod
-    def _peak_in_energy_tensors(prebuilt_target, norm="l2"):
+    def _peak_in_energy_tensors(target_kind, norm="l2"):
         spec = datagen.SceneSpec(kind="adjacent_rects", height=96, width=96, classes=3,
                                  noise_sigma=0.1, count=1, seed=0)
         s = datagen.generate_sample(spec, 0)
         cfg = TrainConfig(loss=LossConfig(mu_exp=2, norm=norm),
                           ac=ACConfig(kernel_size=9, splitter="C"))
         probs = TinyNet(1, 3, seed=0).forward(s.image)
-        target = model.ground_truth(s.labels, 3, cfg) if prebuilt_target else None
+        target = None if target_kind is None else model.ground_truth(s.labels, 3, cfg)
+        if target_kind == "tables":  # as model.train passes it
+            target = replace(target, energies=None)
         tracemalloc.start()
         try:
             model.objective(probs, s.labels, cfg, target)
@@ -290,16 +292,18 @@ class TestObjectiveInPlace:
             tracemalloc.stop()
         return peak / (8 * len(cfg.ac.directions) * probs.size)
 
+    @pytest.mark.parametrize("target_kind", ["full", "tables"])
     @pytest.mark.parametrize("norm", ["l1", "l2"])
-    def test_a_step_holds_at_most_three_energy_tensors(self, norm):
+    def test_a_step_holds_at_most_three_energy_tensors(self, norm, target_kind):
         # e_pred and the gradient, plus the line loss's blocks and smaller arrays
-        peak = self._peak_in_energy_tensors(prebuilt_target=True, norm=norm)
+        # (and, from the level tables, the integer ground truth being rebuilt)
+        peak = self._peak_in_energy_tensors(target_kind, norm=norm)
         assert peak <= 3, f"peak {peak:.2f} energy tensors"
 
-    def test_a_call_that_builds_its_target_holds_at_most_four_and_a_half(self):
-        # as epl loss calls it, for every sample
-        peak = self._peak_in_energy_tensors(prebuilt_target=False)
-        assert peak <= 4.5, f"peak {peak:.2f} energy tensors"
+    def test_a_call_that_builds_its_target_holds_at_most_three_and_a_half(self):
+        # as epl loss calls it, for every sample: no float64 ground truth is built
+        peak = self._peak_in_energy_tensors(None)
+        assert peak <= 3.5, f"peak {peak:.2f} energy tensors"
 
 
 def _label_maps():
