@@ -19,15 +19,15 @@ conversions keep an unsigned-integer field's dtype and sum it in integers:
 a one-hot field in the dtype of its largest energy (ACConfig.max_energy)
 gives the exact energies with no float64 array.
 
-The conversions shift by flat offsets: the planes are copied into a
-buffer with a zero border as wide as the reach and flattened, all planes
-into one run, so a shift by (dy, dx) is one contiguous 1-D add at offset
-dy * row_length + dx, and the interior is cropped at the end.  Each
-pixel's terms are added in the same order as in-range slice adds would;
-the border contributes exact +0.0 terms, which change a sum only by
-turning an all -0.0 sum into +0.0 (never the case for softmax outputs or
-one-hot fields).  The adjoint pads one direction's planes at a time, not
-all |S| at once.
+The conversions and the adjoint shift by flat offsets: the planes are
+copied into a buffer with a zero border as wide as the reach and
+flattened, all planes into one run, so a shift by (dy, dx) is one
+contiguous 1-D add at offset dy * row_length + dx, and the interior is
+cropped at the end.  Each pixel's terms are added in the same order as
+in-range slice adds would; the border contributes exact +0.0 terms, which
+change a sum only by turning an all -0.0 sum into +0.0 (never the case for
+softmax outputs or one-hot fields).  The adjoint pads one direction's
+planes at a time, not all |S| at once.
 """
 
 from __future__ import annotations
@@ -108,10 +108,10 @@ def _add_at_offset(acc: np.ndarray, src: np.ndarray, offset: int) -> None:
     """acc[..., i] += src[..., i + offset] in place, wherever both indices exist.
 
     Both arrays hold flattened planes along their last axis (the conversions
-    put all planes in one run), so a 2-D shift (dy, dx) of a plane with row
-    length wp is the flat offset dy * wp + dx.  With a zero border at least
-    as wide as the shift, the source of every interior pixel stays in its
-    own row and plane, and the border adds zeros.
+    and the adjoint put all planes in one run), so a 2-D shift (dy, dx) of a
+    plane with row length wp is the flat offset dy * wp + dx.  With a zero
+    border at least as wide as the shift, the source of every interior pixel
+    stays in its own row and plane, and the border adds zeros.
     """
     n = acc.shape[-1]
     lo, hi = max(0, -offset), min(n, n - offset)
@@ -181,7 +181,7 @@ def ac_adjoint(energy_grad, cfg: ACConfig) -> np.ndarray:
     # One direction's planes at a time: padding all |S| at once costs memory and time.
     pad = np.zeros((k, h + 2 * r, w + 2 * r))
     wp = pad.shape[-1]
-    flat = pad.reshape(k, -1)
+    flat = pad.reshape(-1)
     acc = np.zeros_like(flat)
     for si, (dy, dx) in enumerate(dirs):
         pad[:, r:r + h, r:r + w] = g[si]

@@ -25,15 +25,17 @@ level has a ground-truth pixel, the membership mass and its squared mass --
 and one small table per level from which the memberships are gathered.
 Training keeps only the level tables of each sample, 1.8 KiB at 96x96 with
 3 classes, splitter C and kernel 9, and rebuilds the energies (216 KiB
-there) from the labels in integers at each step.  The prediction side is
-evaluated a block of (direction, class) planes at a time for each level,
-with each float64 temporary capped at LINE_BLOCK_BYTES so a block stays in
-L2.  Both paths keep the summation order of one plane at a time, so the
-results are bit-identical to it.  Each block and level makes one exp call:
-lanes whose argument is at or below EXP_ZERO_BELOW, where exp is exactly 0,
-are set to 0 before it and zeroed after it.  A block's gradient terms, with
-the rows of skipped and capped terms zeroed, are summed over the levels in a
-block-sized buffer, which is scaled and added into the gradient rows.
+there) from the labels in integers at each step.  Both line_target and the
+loss work a block of (direction, class) rows at a time, at every level at
+once: (levels, rows, H*W) float64 arrays, capped at LINE_BLOCK_BYTES so a
+block stays in L2 but holding at least one row.  Both keep the summation
+order of one plane and level at a time, so the results are bit-identical
+to it.  Each block makes one gather of its ground-truth memberships and one
+exp call: lanes whose argument is at or below EXP_ZERO_BELOW, where exp is
+exactly 0, are set to 0 before it and zeroed after it.  A block's gradient
+terms, with the rows of skipped and capped terms zeroed, are added level
+after level into a block-sized buffer, which is scaled and added into the
+gradient rows.
 """
 
 from __future__ import annotations
@@ -51,11 +53,14 @@ EMPTY_LEVEL_EPS = 1e-12
 #: left out of the dice mean.
 EMPTY_CLASS_EPS = 1e-12
 
-#: Cap on the size of each float64 temporary of the line loss.  Planes are
-#: processed a few rows of (direction, class) at a time, so a step's working
-#: set stays within a typical 2 MiB L2: 4 planes at 64x64, 1 at 96x96.
-#: Broadcasting over every plane at once was slower at 96x96.
-LINE_BLOCK_BYTES = 128 * 1024
+#: Cap on a float64 (levels, rows, H*W) block of the line loss and of
+#: line_target.  Planes are processed a few rows of (direction, class) at a
+#: time, at least one, at every level at once, so a block's few temporaries
+#: stay within a typical 2 MiB L2: 2 rows at 64x64 with radius 3, 1 row (288
+#: KiB, over the cap) at 96x96 with radius 4.  Smaller blocks cost more numpy
+#: calls (one row at 64x64 was 13% slower); 4 rows there were no faster, with
+#: twice the temporaries; broadcasting over every plane at once was slower.
+LINE_BLOCK_BYTES = 256 * 1024
 
 #: np.exp underflows to exactly 0.0 at or below this (the threshold is
 #: log(2**-1075) = -745.13...).  Lanes that underflow take numpy's slow
@@ -246,7 +251,8 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
     every converter gives for a one-hot field; the whole range from 0 to its
     largest energy (kernel_size**2 for the box filter) is covered.  Unsigned
     integer energies are kept as given, others are stored in the smallest
-    unsigned dtype that holds them.
+    unsigned dtype that holds them.  The level scalars are taken over the
+    same row blocks as the loss's, one gather of memberships per block.
     """
     if type(mu) is not int or mu < 2 or mu % 2 != 0:
         raise ValueError(f"mu must be an even integer >= 2, got {mu!r}")
@@ -271,12 +277,86 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
     present = np.empty((radius, codes.shape[0]), dtype=bool)
     mass = np.empty(present.shape)
     sq_mass = np.empty(present.shape)
-    for t in range(radius):
-        d = np.take(luts[t], codes)
-        present[t] = (codes == t + 1).any(axis=1)
-        mass[t] = d.sum(axis=1)
-        sq_mass[t] = np.square(d, out=d).sum(axis=1)
+    step = _block_rows(radius, h * w)
+    for r0 in range(0, codes.shape[0], step):
+        rows = slice(r0, r0 + step)
+        d = _memberships(luts, codes[rows])
+        present[:, rows] = (codes[rows] == levels[:, None, None]).any(axis=2)
+        mass[:, rows] = d.sum(axis=2)
+        sq_mass[:, rows] = np.square(d, out=d).sum(axis=2)
     return LineTarget(energies, mu, radius, luts, present, mass, sq_mass)
+
+
+def _block_rows(radius: int, plane_size: int) -> int:
+    """Rows of (direction, class) planes per block: at least one, else as many as
+    keep a float64 (radius, rows, plane_size) array within LINE_BLOCK_BYTES."""
+    return max(1, LINE_BLOCK_BYTES // max(1, 8 * radius * plane_size))
+
+
+def _memberships(luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """The ground-truth memberships (levels, rows, H*W) of a block of code rows."""
+    return np.take(luts, codes.astype(np.intp), axis=1)
+
+
+def _soft_memberships(p: np.ndarray, taus: np.ndarray, mu: int) -> tuple[np.ndarray, np.ndarray]:
+    """(p - tau)**(mu - 1) and the memberships exp(-(p - tau)**mu) of prediction rows.
+
+    p is a block of rows (rows, H*W) and taus the levels as a (levels, 1, 1)
+    array, so both results are (levels, rows, H*W).  Lanes whose exp argument
+    is at or below EXP_ZERO_BELOW are set to 0 before the one exp call and
+    zeroed after it; the two stores run only when there is such a lane.
+    """
+    dp = p - taus
+    dp_pow = _int_pow(dp, mu - 1)
+    arg = dp_pow * dp
+    np.negative(arg, out=arg)
+    zero = arg <= EXP_ZERO_BELOW
+    underflow = zero.any()
+    if underflow:
+        arg[zero] = 0.0
+    d_hat = np.exp(arg, out=arg)
+    if underflow:
+        d_hat[zero] = 0.0
+    return dp_pow, d_hat
+
+
+def _score_block(target: LineTarget, rows: slice, taus: np.ndarray, p: np.ndarray,
+                 codes: np.ndarray, c_norm: np.ndarray, ok: np.ndarray,
+                 acc: np.ndarray | None) -> np.ndarray:
+    """The EDC (levels, rows) of one block of rows at every level, NaN where not ok.
+
+    p and codes are the block's prediction and code rows (rows, H*W), and
+    c_norm and ok its (level, row) scalars.  With acc (rows, H*W), the
+    gradient terms of the scored terms that are not capped are added into it
+    one level after another.  The block's (levels, rows, H*W) arrays die
+    with the call, so the next block does not start with them alive.
+    """
+    mu = target.mu
+    dp_pow, d_hat = _soft_memberships(p, taus, mu)
+    d = _memberships(target.luts, codes)
+    inter = (d * d_hat).sum(axis=2)
+    denom = target.mass[:, rows] + d_hat.sum(axis=2)
+    value = np.divide(2.0 * c_norm * inter, denom, out=np.full(denom.shape, np.nan), where=ok)
+    useful = ok & ~(value >= 1.0)
+    if acc is None or not useful.any():
+        return value
+    coeff = np.divide(2.0 * c_norm, denom * denom, out=np.zeros(denom.shape), where=ok)
+    # coeff * (d * denom - inter) * mu * dp_pow * d_hat, in place.  Skipped and
+    # capped rows take no gradient: zeroing their dp_pow keeps a +-inf prediction
+    # there out of a 0 * inf, and zeroing their terms last drops a NaN one.  acc
+    # starts at +0.0 and so is never -0.0: adding the zeroed rows leaves it as is.
+    idle = ~useful
+    dp_pow[idle] = 0.0
+    term = np.multiply(d, denom[..., None], out=d)
+    term -= inter[..., None]
+    np.multiply(coeff[..., None], term, out=term)
+    term *= mu
+    term *= dp_pow
+    term *= d_hat
+    term[idle] = 0.0
+    for level_term in term:
+        acc += level_term
+    return value
 
 
 def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float = 1.0,
@@ -289,12 +369,12 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
     prediction), and, on request, add_to (or a fresh array) plus weight / |S|
     times the gradient of their sum of (1 - EDC) w.r.t. the prediction.
 
-    Planes are processed in blocks of whole rows, so that each float64
-    temporary stays within LINE_BLOCK_BYTES, and each block goes through
-    the levels in order: every gradient element sums its terms in level
-    order and every row sum is the plane's own pairwise sum, as when one
-    plane was scored at a time.  A block's sum is scaled by 1/|S| and then
-    by weight before it is added.  A fresh array starts at -0.0, the exact
+    Planes are processed in blocks of whole rows (see _block_rows), each
+    scored at every level at once (see _score_block): every gradient element
+    sums its terms in level order and every row sum is the plane's own
+    pairwise sum, as when one plane was scored at a time.  A block's sum is
+    scaled by 1/|S| and then by weight before it is added, also when the
+    block has no scored term.  A fresh array starts at -0.0, the exact
     additive identity, so it takes the scaled sums with their zero signs.
     """
     target = gt if isinstance(gt, LineTarget) else line_target(gt, mu, radius)
@@ -314,7 +394,8 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
     c_norm = np.divide(target.mass, target.sq_mass, out=np.zeros(valid.shape), where=valid)
     edc = np.full((n_dirs, n_classes, radius), np.nan)
     edc_rows = edc.reshape(n_rows, radius)
-    step = max(1, LINE_BLOCK_BYTES // max(1, 8 * h * w))
+    taus = np.arange(1.0, radius + 1.0)[:, None, None]
+    step = _block_rows(radius, h * w)
     grad = None
     if want_grad:
         grad = np.full(pred.shape, -0.0) if add_to is None else add_to
@@ -325,49 +406,14 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
         block = np.empty((min(step, n_rows), h * w))
     for r0 in range(0, n_rows, step):
         rows = slice(r0, r0 + step)
-        p = p_rows[rows]
+        ok = valid[:, rows]
+        acc = None
         if want_grad:
-            acc = block[:p.shape[0]]
+            acc = block[:ok.shape[1]]
             acc.fill(0.0)
-        for t in range(radius):
-            ok = valid[t, rows]
-            if not ok.any():
-                continue
-            tau = t + 1
-            dp = p - tau
-            dp_pow = _int_pow(dp, mu - 1)
-            arg = dp_pow * dp
-            np.negative(arg, out=arg)
-            zero = arg <= EXP_ZERO_BELOW
-            arg[zero] = 0.0
-            d_hat = np.exp(arg, out=arg)
-            d_hat[zero] = 0.0
-            d = np.take(target.luts[t], codes[rows])
-            inter = (d * d_hat).sum(axis=1)
-            mass = target.mass[t, rows]
-            denom = mass + d_hat.sum(axis=1)
-            value = np.divide(2.0 * c_norm[t, rows] * inter, denom,
-                              out=np.full(denom.shape, np.nan), where=ok)
-            edc_rows[rows, t] = value
-            useful = ok & ~(value >= 1.0)
-            if not want_grad or not useful.any():
-                continue
-            coeff = np.divide(2.0 * c_norm[t, rows], denom * denom,
-                              out=np.zeros(denom.shape), where=ok)
-            # coeff * (d * denom - inter) * mu * dp_pow * d_hat, in place.  Skipped and
-            # capped rows take no gradient: zeroing their dp_pow keeps a +-inf prediction
-            # there out of a 0 * inf, and zeroing their terms last drops a NaN one.  acc
-            # starts at +0.0 and so is never -0.0: adding the zeroed rows leaves it as is.
-            idle = ~useful
-            dp_pow[idle] = 0.0
-            term = np.multiply(d, denom[:, None], out=d)
-            term -= inter[:, None]
-            np.multiply(coeff[:, None], term, out=term)
-            term *= mu
-            term *= dp_pow
-            term *= d_hat
-            term[idle] = 0.0
-            acc += term
+        if ok.any():
+            edc_rows[rows] = _score_block(target, rows, taus, p_rows[rows], codes[rows],
+                                          c_norm[:, rows], ok, acc).T
         if want_grad:
             acc *= 1.0 / n_dirs
             acc *= weight

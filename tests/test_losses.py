@@ -356,7 +356,7 @@ LINE_CASES = {
     **{f"ac-{kind}-k{k}": (lambda kind=kind, k=k: _ac_case(kind, k, (18, 18), k))
        for kind in "AC" for k in (3, 7, 9)},
     "ac-non-square": lambda: _ac_case("A", 5, (7, 23), 1),
-    # 64x64 planes fill a whole block; more planes than one block holds.
+    # 64x64 planes at radius 3: two rows to a default block, twelve blocks.
     "ac-blocks": lambda: _ac_case("C", 7, (64, 64), 2),
     # Box-filter energies reach kernel**2, far above radius + 1.
     **{f"sc-k{k}": (lambda k=k: _sc_case(k, (24, 20), k)) for k in (3, 7, 9)},
@@ -373,6 +373,13 @@ def _offset_with_arg(mu, arg):
     return float(hits[0])
 
 
+@pytest.fixture(params=["one-row", "default", "one-block"])
+def block_cap(request, monkeypatch):
+    """LINE_BLOCK_BYTES for blocks of one row, as shipped, and all rows in one block."""
+    cap = {"one-row": 1, "default": losses.LINE_BLOCK_BYTES, "one-block": 1 << 40}[request.param]
+    monkeypatch.setattr(losses, "LINE_BLOCK_BYTES", cap)
+
+
 class TestLineLossReference:
     """The blocked line loss is bit-identical to the per-term loop."""
 
@@ -385,14 +392,19 @@ class TestLineLossReference:
             assert type(loss.value) is float
             assert loss.value == value
             npt.assert_array_equal(loss.gradient, grad)
+            # a fresh gradient starts at -0.0: rows of a block without a scored
+            # term still take the block's +0.0 sums, as the reference's do
+            npt.assert_array_equal(np.signbit(loss.gradient), np.signbit(grad))
             npt.assert_array_equal(equipotential_dice(first, pred, cfg, radius), edc)
 
+    @pytest.mark.usefixtures("block_cap")
     @pytest.mark.parametrize("mu", [2, 10])
     @pytest.mark.parametrize("name", sorted(LINE_CASES))
     def test_matches_reference(self, name, mu):
         gt, pred, radius = LINE_CASES[name]()
         self._assert_matches(gt, pred, mu, radius)
 
+    @pytest.mark.usefixtures("block_cap")
     @pytest.mark.parametrize("mu", [2, 10])
     def test_capped_terms(self, mu):
         gt, pred, radius = _ac_case("A", 7, (16, 16), 6)
@@ -403,17 +415,17 @@ class TestLineLossReference:
         self._assert_matches(gt, mixed, mu, radius)
 
     def test_a_block_mixing_counted_capped_and_skipped_rows(self):
-        # 16x16 planes: all 12 rows are one block.  Level 2 of direction 1 is
-        # sharper than the ground truth (capped, EDC > 1) beside counted
-        # terms.  The absent class's rows are skipped at every level, and
-        # their non-finite predictions give a NaN term that must stay out of
-        # the gradient.
+        # 16x16 planes: all 12 rows, at all 3 levels, are one block.  Level 2
+        # of direction 1 is sharper than the ground truth (capped, EDC > 1)
+        # beside counted terms.  The absent class's rows are skipped at every
+        # level, and their non-finite predictions give a NaN term that must
+        # stay out of the gradient.
         gt, pred, radius = _ac_case("A", 7, (16, 16), 6, classes=2)
         gt = np.concatenate([gt, np.zeros_like(gt[:, :1])], axis=1)
         pred = np.concatenate([pred, np.ones_like(pred[:, :1])], axis=1)
         pred[1, :2] = 1.3 * gt[1, :2] - 0.6
         pred[0, 2, 3, 4] = pred[2, 2, 0, 0] = np.nan
-        assert losses.LINE_BLOCK_BYTES // (8 * 16 * 16) >= pred.shape[0] * pred.shape[1]
+        assert losses.LINE_BLOCK_BYTES // (8 * radius * 16 * 16) >= pred.shape[0] * pred.shape[1]
         for mu in (2, 10):
             cfg = LossConfig(mu_exp=mu)
             raw, counted, _ = losses._line_terms(gt, pred, mu, radius, want_grad=False)
@@ -425,6 +437,7 @@ class TestLineLossReference:
             assert math.isfinite(loss.value) and np.isfinite(loss.gradient).all()
             assert not loss.gradient[:, 2].any()
 
+    @pytest.mark.usefixtures("block_cap")
     @pytest.mark.parametrize("inf", [np.inf, -np.inf])
     @pytest.mark.parametrize("mu", [2, 10])
     def test_an_infinite_prediction_in_a_skipped_row(self, inf, mu):
@@ -446,25 +459,28 @@ class TestLineLossReference:
                                         (10, math.nextafter(EXP_ZERO_BELOW, 0.0))])
     def test_exp_threshold_lanes(self, monkeypatch, mu, arg):
         # mu=2 reaches an exp argument of exactly EXP_ZERO_BELOW and mu=10 one
-        # ulp above it; both also see lanes whose exp is subnormal.  With two
-        # rows per block, block 0 underflows on every lane at every level and
-        # block 1 on none.
+        # ulp above it; both also see lanes whose exp is subnormal.  A 1024 B
+        # block holds one 64-pixel row at both levels: block 0 underflows on
+        # every lane at every level (the masked exp) and block 1 on none (its
+        # short cut); blocks 6-8 mix both.
         gt, _, radius = _ac_case("A", 5, (8, 8), 5)
         rng = np.random.default_rng(mu)
         pred = rng.uniform(0.5, 2.5, gt.shape)  # |dp| < 746**(1/mu) at levels 1 and 2
-        pred[0, :2] = 60.0  # block 0: every lane underflows
+        pred[0, 0] = 60.0  # block 0: every lane underflows
         at = _offset_with_arg(mu, arg)
         subnormal = 745.0 ** (1.0 / mu)  # exp(-745) is the least subnormal
-        lanes = pred[2].reshape(3, -1)  # blocks 3 and 4
+        lanes = pred[2].reshape(3, -1)  # blocks 6 to 8
         lanes[:, 0::4] = 1 - at  # at the threshold at level 1
         lanes[:, 1::4] = 2 - at  # ... and at level 2
         lanes[:, 2::8] = 1 - subnormal
         lanes[:, 3::8] = 2 + 40.0
         monkeypatch.setattr(losses, "LINE_BLOCK_BYTES", 2 * 8 * 8 * 8)
-        rows = pred.reshape(-1, 2, 64)
+        assert losses._block_rows(radius, 8 * 8) == 1
+        rows = pred.reshape(-1, 64)
         args = np.stack([-(_int_pow(rows - tau, mu - 1) * (rows - tau)) for tau in (1, 2)])
         under = args <= EXP_ZERO_BELOW
         assert under[:, 0].all() and not under[:, 1].any()
+        assert under[:, 6:9].any() and not under[:, 6:9].all()
         tiny = np.exp(args)
         assert (args == arg).any() and ((tiny > 0) & (tiny < np.finfo(float).tiny)).any()
         self._assert_matches(gt, pred, mu, radius)

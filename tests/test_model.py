@@ -274,23 +274,32 @@ class TestObjectiveInPlace:
         npt.assert_array_equal(np.signbit(dprobs), np.signbit(expected))
 
     @staticmethod
-    def _peak_in_energy_tensors(target_kind, norm="l2"):
+    def _dense_case(norm="l2"):
+        """A 96x96 scene at splitter C, kernel 9 and mu 2, its config and a prediction."""
         spec = datagen.SceneSpec(kind="adjacent_rects", height=96, width=96, classes=3,
                                  noise_sigma=0.1, count=1, seed=0)
         s = datagen.generate_sample(spec, 0)
         cfg = TrainConfig(loss=LossConfig(mu_exp=2, norm=norm),
                           ac=ACConfig(kernel_size=9, splitter="C"))
         probs = TinyNet(1, 3, seed=0).forward(s.image)
-        target = None if target_kind is None else model.ground_truth(s.labels, 3, cfg)
-        if target_kind == "tables":  # as model.train passes it
-            target = replace(target, energies=None)
+        return s, cfg, probs, 8 * len(cfg.ac.directions) * probs.size
+
+    @staticmethod
+    def _traced_peak(call) -> int:
         tracemalloc.start()
         try:
-            model.objective(probs, s.labels, cfg, target)
+            call()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        return peak / (8 * len(cfg.ac.directions) * probs.size)
+        return peak
+
+    def _peak_in_energy_tensors(self, target_kind, norm="l2"):
+        s, cfg, probs, tensor = self._dense_case(norm)
+        target = None if target_kind is None else model.ground_truth(s.labels, 3, cfg)
+        if target_kind == "tables":  # as model.train passes it
+            target = replace(target, energies=None)
+        return self._traced_peak(lambda: model.objective(probs, s.labels, cfg, target)) / tensor
 
     @pytest.mark.parametrize("target_kind", ["full", "tables"])
     @pytest.mark.parametrize("norm", ["l1", "l2"])
@@ -304,6 +313,13 @@ class TestObjectiveInPlace:
         # as epl loss calls it, for every sample: no float64 ground truth is built
         peak = self._peak_in_energy_tensors(None)
         assert peak <= 3.5, f"peak {peak:.2f} energy tensors"
+
+    def test_ground_truth_holds_less_than_one_energy_tensor(self):
+        # uint8 energies, and line_target gathers one block of rows at a time:
+        # no intp index copy or float64 memberships of the whole tensor
+        s, cfg, _, tensor = self._dense_case()
+        peak = self._traced_peak(lambda: model.ground_truth(s.labels, 3, cfg)) / tensor
+        assert peak < 1, f"peak {peak:.2f} energy tensors"
 
 
 def _label_maps():
