@@ -4,10 +4,10 @@ The library converts per-class probability fields into directional
 potential fields with a fixed anisotropic box convolution, then optimizes
 predictions there with a point (field regression) loss and an
 equipotential line (contour matching) loss alongside cross-entropy.  It
-ships a slow reference oracle for the conversion, finite-difference
-gradient verification, segmentation metrics (mIoU, trimap IoU, boundary
-F-measure), a synthetic boundary-stress dataset generator, a tiny
-trainable network, and a CLI for reproducible experiments.
+ships finite-difference gradient verification, segmentation metrics
+(mIoU, trimap IoU, boundary F-measure), a synthetic boundary-stress
+dataset generator, a tiny trainable network, and a CLI for reproducible
+experiments.
 """
 
 from .datagen import Sample, SceneSpec, generate_dataset, read_sample, write_sample
@@ -16,7 +16,6 @@ from .fields import (
     ac_adjoint,
     anisotropic_convolve,
     one_hot,
-    potential_oracle,
     standard_convolve,
 )
 from .gradcheck import GradReport, finite_diff_gradient, run_gradcheck
@@ -75,7 +74,6 @@ __all__ = [
     "objective",
     "one_hot",
     "point_loss",
-    "potential_oracle",
     "read_sample",
     "run_gradcheck",
     "standard_convolve",

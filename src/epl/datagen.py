@@ -264,8 +264,12 @@ def write_sample(stem, sample: Sample) -> None:
 
 
 def read_sample(stem) -> Sample:
+    """Read a sample written by write_sample; a non-finite image pixel is a FormatError."""
     stem = str(stem)
     image = io.read_tensor(stem + ".eplt")
+    bad = image.size - np.count_nonzero(np.isfinite(image))
+    if bad:
+        raise io.FormatError(f"{stem}.eplt: the image holds {bad} non-finite value(s)")
     labels = io.read_pgm(stem + ".pgm")
     if image.shape != labels.shape:
         raise io.FormatError(

@@ -95,12 +95,7 @@ def one_hot(labels, num_classes: int, dtype=np.float64) -> np.ndarray:
     lo, hi = int(lab.min()), int(lab.max())
     if lo < 0 or hi >= num_classes:
         raise ValueError(f"labels must lie in [0, {num_classes}), found range [{lo}, {hi}]")
-    return _one_hot(lab, num_classes, dtype)
-
-
-def _one_hot(lab, num_classes: int, dtype) -> np.ndarray:
-    """one_hot of a label map that has passed its checks."""
-    out = np.empty((num_classes,) + np.shape(lab), dtype=dtype)
+    out = np.empty((num_classes,) + lab.shape, dtype=dtype)
     return np.equal(lab, np.arange(num_classes)[:, None, None], out=out)
 
 
@@ -218,31 +213,3 @@ def standard_convolve(field, kernel_size: int) -> np.ndarray:
         _add_at_offset(out, rows, -t)
     return out.reshape(pad.shape)[:, r:r + h, r:r + w].copy()
 
-
-def potential_oracle(field, cfg: ACConfig) -> np.ndarray:
-    """Reference conversion by per-pixel ray walking.
-
-    Slow (pure Python loops, intended for fields up to a few thousand
-    pixels) but independent of the vectorized path: it must agree with
-    anisotropic_convolve bit-exactly on binary inputs and to 1e-9 on reals.
-    """
-    f = _as_field(field)
-    k, h, w = f.shape
-    r = cfg.radius
-    dirs = cfg.directions
-    out = np.zeros((len(dirs), k, h, w), dtype=np.float64)
-    for si, (dy, dx) in enumerate(dirs):
-        for c in range(k):
-            plane = f[c]
-            dest = out[si, c]
-            for y in range(h):
-                for x in range(w):
-                    acc = 0.0
-                    for t in range(r + 1):
-                        yy = y + t * dy
-                        xx = x + t * dx
-                        if yy < 0 or yy >= h or xx < 0 or xx >= w:
-                            break  # the ray is monotone, it never re-enters
-                        acc += plane[yy, xx]
-                    dest[y, x] = acc
-    return out

@@ -20,10 +20,10 @@ results are deterministic.
 The ground-truth side of the line loss depends on the labels alone:
 :func:`line_target` holds the energies of a one-hot field, nonnegative
 integers in an unsigned dtype (uint8 for every converter and kernel the
-CLI offers), three scalars per (level, direction, class) -- whether the
-level has a ground-truth pixel, the membership mass and its squared mass --
+CLI offers), two scalars per (level, direction, class) -- the membership
+mass and the EDC calibration C, 0 at a level with no ground-truth pixel --
 and one small table per level from which the memberships are gathered.
-Training keeps only the level tables of each sample, 1.8 KiB at 96x96 with
+Training keeps only the level tables of each sample, 1.7 KiB at 96x96 with
 3 classes, splitter C and kernel 9, and rebuilds the energies (216 KiB
 there) from the labels in integers at each step.  Both line_target and the
 loss work a block of (direction, class) rows at a time, at every level at
@@ -44,10 +44,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-#: Division safeguard for degenerate membership masses (levels with an
-#: empty ground-truth line are already skipped before this can trigger).
-EMPTY_LEVEL_EPS = 1e-12
 
 #: Classes whose combined prediction + ground-truth mass is below this are
 #: left out of the dice mean.
@@ -230,18 +226,19 @@ class LineTarget:
     (|S|, K, H, W) in an unsigned dtype; the rest are the level tables,
     which a training run keeps with ``energies`` None (see model.objective).
     ``luts[t]`` maps an energy k to the membership ``exp(-(k - (t + 1))**mu)``.
-    ``present``, ``mass`` and ``sq_mass`` are (radius, |S| * K): whether the
-    level has a ground-truth pixel, and the sums of the memberships and of
-    their squares.
+    ``mass`` and ``c_norm`` are (radius, |S| * K): the sum of the
+    memberships, and the calibration C = mass / sum of their squares at a
+    level that has a ground-truth pixel, 0 at the others.  The lookup entry
+    of a ground-truth pixel's own level is 1 and every membership is at most
+    1, so C >= 1 exactly at the levels the line loss scores.
     """
 
     energies: np.ndarray
     mu: int
     radius: int
     luts: np.ndarray
-    present: np.ndarray
     mass: np.ndarray
-    sq_mass: np.ndarray
+    c_norm: np.ndarray
 
 
 def line_target(e_gt, mu: int, radius: int) -> LineTarget:
@@ -256,6 +253,8 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
     """
     if type(mu) is not int or mu < 2 or mu % 2 != 0:
         raise ValueError(f"mu must be an even integer >= 2, got {mu!r}")
+    if type(radius) is not int or radius < 1:
+        raise ValueError(f"radius must be an integer >= 1, got {radius!r}")
     gt = np.asarray(e_gt)
     if gt.ndim != 4:
         raise ValueError(f"energies must have shape (|S|, classes, height, width), got {gt.shape}")
@@ -276,15 +275,16 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
     codes = energies.reshape(n_dirs * n_classes, h * w)
     present = np.empty((radius, codes.shape[0]), dtype=bool)
     mass = np.empty(present.shape)
-    sq_mass = np.empty(present.shape)
+    square_sum = np.empty(present.shape)
     step = _block_rows(radius, h * w)
     for r0 in range(0, codes.shape[0], step):
         rows = slice(r0, r0 + step)
         d = _memberships(luts, codes[rows])
         present[:, rows] = (codes[rows] == levels[:, None, None]).any(axis=2)
         mass[:, rows] = d.sum(axis=2)
-        sq_mass[:, rows] = np.square(d, out=d).sum(axis=2)
-    return LineTarget(energies, mu, radius, luts, present, mass, sq_mass)
+        square_sum[:, rows] = np.square(d, out=d).sum(axis=2)
+    c_norm = np.divide(mass, square_sum, out=np.zeros(mass.shape), where=present)
+    return LineTarget(energies, mu, radius, luts, mass, c_norm)
 
 
 def _block_rows(radius: int, plane_size: int) -> int:
@@ -321,17 +321,17 @@ def _soft_memberships(p: np.ndarray, taus: np.ndarray, mu: int) -> tuple[np.ndar
 
 
 def _score_block(target: LineTarget, rows: slice, taus: np.ndarray, p: np.ndarray,
-                 codes: np.ndarray, c_norm: np.ndarray, ok: np.ndarray,
-                 acc: np.ndarray | None) -> np.ndarray:
+                 codes: np.ndarray, ok: np.ndarray, acc: np.ndarray | None) -> np.ndarray:
     """The EDC (levels, rows) of one block of rows at every level, NaN where not ok.
 
     p and codes are the block's prediction and code rows (rows, H*W), and
-    c_norm and ok its (level, row) scalars.  With acc (rows, H*W), the
+    ok its (level, row) mask of scored terms.  With acc (rows, H*W), the
     gradient terms of the scored terms that are not capped are added into it
     one level after another.  The block's (levels, rows, H*W) arrays die
     with the call, so the next block does not start with them alive.
     """
     mu = target.mu
+    c_norm = target.c_norm[:, rows]
     dp_pow, d_hat = _soft_memberships(p, taus, mu)
     d = _memberships(target.luts, codes)
     inter = (d * d_hat).sum(axis=2)
@@ -378,10 +378,10 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
     additive identity, so it takes the scaled sums with their zero signs.
     """
     target = gt if isinstance(gt, LineTarget) else line_target(gt, mu, radius)
-    if (target.mu, target.radius) != (mu, radius):
+    if type(radius) is not int or (target.mu, target.radius) != (mu, radius):
         raise ValueError(
             f"line target was built for mu={target.mu}, radius={target.radius}; "
-            f"got mu={mu}, radius={radius}"
+            f"got mu={mu}, radius={radius!r}"
         )
     pred = np.asarray(e_pred, dtype=np.float64)
     if pred.shape != target.energies.shape:
@@ -390,8 +390,7 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
     n_rows = n_dirs * n_classes
     p_rows = pred.reshape(n_rows, h * w)
     codes = target.energies.reshape(n_rows, h * w)
-    valid = target.present & (target.mass >= EMPTY_LEVEL_EPS)
-    c_norm = np.divide(target.mass, target.sq_mass, out=np.zeros(valid.shape), where=valid)
+    valid = target.c_norm > 0
     edc = np.full((n_dirs, n_classes, radius), np.nan)
     edc_rows = edc.reshape(n_rows, radius)
     taus = np.arange(1.0, radius + 1.0)[:, None, None]
@@ -413,7 +412,7 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
             acc.fill(0.0)
         if ok.any():
             edc_rows[rows] = _score_block(target, rows, taus, p_rows[rows], codes[rows],
-                                          c_norm[:, rows], ok, acc).T
+                                          ok, acc).T
         if want_grad:
             acc *= 1.0 / n_dirs
             acc *= weight

@@ -39,7 +39,6 @@ from . import io, metrics, seeding
 from .fields import (
     ACConfig,
     _add_at_offset,
-    _one_hot,
     ac_adjoint,
     anisotropic_convolve,
     one_hot,
@@ -314,17 +313,22 @@ def _convert_adjoint(energy_grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return ac_adjoint(energy_grad, cfg.ac)
 
 
+def _label_energies(labels, num_classes: int, cfg: TrainConfig) -> np.ndarray:
+    """The checked labels' one-hot field, converted, in the smallest unsigned
+    dtype that holds the largest energy (ACConfig.max_energy; uint8 up to the
+    box filter's kernel 15): exact integers with no float64 copy."""
+    return convert(one_hot(labels, num_classes, np.min_scalar_type(cfg.ac.max_energy)), cfg)
+
+
 def ground_truth(labels, num_classes: int, cfg: TrainConfig) -> LineTarget:
     """Everything the potential-domain losses need from one label map.
 
-    The labels are checked, and their one-hot field and its conversion are
-    built in the smallest unsigned dtype that holds the largest energy
-    (ACConfig.max_energy; uint8 up to the box filter's kernel 15): exact
-    integers with no float64 copy, which line_target keeps as they are.
-    The point loss reads the same integer energies.
+    The labels are checked and converted in integers (_label_energies),
+    which line_target keeps as they are; the point loss reads the same
+    integer energies.
     """
-    field = one_hot(labels, num_classes, np.min_scalar_type(cfg.ac.max_energy))
-    return line_target(convert(field, cfg), cfg.loss.mu_exp, cfg.ac.radius)
+    return line_target(_label_energies(labels, num_classes, cfg), cfg.loss.mu_exp,
+                       cfg.ac.radius)
 
 
 def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
@@ -340,9 +344,9 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
     through the converter's adjoint.  A potential term is evaluated only
     when its weight is positive, and reads 0.0 otherwise.
     target is ground_truth(labels, ...), built here when needed and not
-    given, or its level tables with energies None, as train holds them: the
-    energies are then rebuilt from the labels, which ground_truth checked,
-    in integers (no float64 one-hot, no check, no cast).  With want_grad
+    given.  A given target supplies its level tables only: its energies
+    (None in the tables train holds) are rebuilt from the labels in
+    integers at every step, as ground_truth builds them.  With want_grad
     False only the terms are computed and the gradient is None: no loss
     builds one, nothing runs through the adjoint.
     """
@@ -353,9 +357,8 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
     if loss.lambda1 > 0 or loss.lambda2 > 0:
         if target is None:
             target = ground_truth(labels, probs.shape[0], cfg)
-        elif target.energies is None:
-            field = _one_hot(labels, probs.shape[0], np.min_scalar_type(cfg.ac.max_energy))
-            target = replace(target, energies=convert(field, cfg))
+        else:
+            target = replace(target, energies=_label_energies(labels, probs.shape[0], cfg))
         e_pred = convert(probs, cfg)
         e_grad = None
         if loss.lambda1 > 0:
@@ -380,8 +383,8 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
 def backward(net: TinyNet, image, labels, cfg: TrainConfig, target: LineTarget | None = None):
     """Loss terms and the flat parameter gradient of the training objective.
 
-    target is ground_truth(labels, ...) or its level tables, as for
-    objective; it is built here when not given.
+    target is ground_truth(labels, ...), or its level tables with energies
+    None, as for objective; it is built here when not given.
     """
     probs, cache = net.forward_with_cache(image)
     terms, dprobs = objective(probs, labels, cfg, target)
@@ -410,10 +413,10 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
     `eval_dataset` (the training set when none is given).  The net has a
     class for every label up to the largest of either set.  Labels never
     change, so each sample's ground truth is built once per run, and only
-    its line-target level tables are kept (1.8 KiB at 96x96, 3 classes,
+    its line-target level tables are kept (1.7 KiB at 96x96, 3 classes,
     splitter C, kernel 9); objective rebuilds its integer energies (216 KiB
-    there) at each step, in about 0.14 ms there and 0.08 ms at 64x64 with
-    splitter A and kernel 7 (one 2-CPU Xeon VM core).  Runs are
+    there) at each step, in 0.14-0.23 ms there and 0.09-0.1 ms at 64x64
+    with splitter A and kernel 7 (one 2-CPU Xeon VM core).  Runs are
     deterministic for a fixed config.  TrainingDiverged, naming the epoch
     and the sample or batch, stops a run whose loss or updated parameters
     are not finite.

@@ -18,12 +18,7 @@ import pytest
 
 from epl import datagen, model
 from epl.cli import main as cli_main
-from epl.fields import (
-    ACConfig,
-    anisotropic_convolve,
-    one_hot,
-    potential_oracle,
-)
+from epl.fields import ACConfig, anisotropic_convolve, one_hot
 from epl.gradcheck import run_gradcheck
 from epl.losses import (
     LossConfig,
@@ -33,6 +28,7 @@ from epl.losses import (
     point_loss,
 )
 from epl.metrics import boundary_band, boundary_fmeasure, miou, trimap_iou
+from potential_reference import potential_oracle
 
 
 def report(num, name, ok, detail=""):

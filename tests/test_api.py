@@ -32,6 +32,11 @@ def test_evaluate_pair_scores_each_pair_from_its_own_labels():
     assert "gt_side" not in inspect.signature(epl.evaluate_pair).parameters
 
 
+def test_the_conversion_oracle_lives_with_the_tests():
+    assert "potential_oracle" not in epl.__all__
+    assert not hasattr(epl, "potential_oracle") and not hasattr(fields, "potential_oracle")
+
+
 def test_the_package_imports_only_numpy_and_the_standard_library():
     allowed = set(sys.stdlib_module_names) | {"numpy", "epl"}
     sources = sorted(Path(epl.__file__).parent.glob("*.py"))

@@ -728,6 +728,27 @@ class TestErrorPaths:
                 "with num_classes 3") in err
         assert not (tmp_path / "losses.json").exists()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["train", "loss"])
+    def test_a_non_finite_image_pixel_exits_2_naming_its_file(self, tmp_path, tiny_config,
+                                                              capsys, command, value):
+        data = tmp_path / "data"
+        assert run("gen", "--config", tiny_config, "--out", data) == 0
+        image_path = data / "sample_0002.eplt"
+        image = io.read_tensor(image_path)
+        image[3, 4] = value
+        io.write_tensor(image_path, image)
+        model.save_checkpoint(tmp_path / "ck", model.TinyNet(1, 3, seed=0),
+                              train_sections(build_train_config(load_config())))
+        out = tmp_path / "out"
+        where = {"train": ("--config", tiny_config, "--out", out),
+                 "loss": ("--checkpoint", tmp_path / "ck", "--out", out / "losses.json")}
+        capsys.readouterr()
+        assert run(command, "--data", data, *where[command]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {image_path}: the image holds 1 non-finite value(s)" in err
+        assert not out.exists()
+
     def test_missing_labels_file(self, tmp_path, capsys):
         assert run("convert", "--labels", tmp_path / "none.pgm",
                    "--out", tmp_path / "o.eplt") == 2

@@ -10,9 +10,9 @@ from epl.fields import (
     ac_adjoint,
     anisotropic_convolve,
     one_hot,
-    potential_oracle,
     standard_convolve,
 )
+from potential_reference import potential_oracle
 from shift_reference import shift2d
 
 

@@ -15,7 +15,6 @@ from epl.fields import (
     standard_convolve,
 )
 from epl.losses import (
-    EMPTY_LEVEL_EPS,
     EXP_ZERO_BELOW,
     LineTarget,
     LossConfig,
@@ -307,7 +306,7 @@ def reference_line_loss(gt, pred, mu, radius):
                     continue
                 d = np.exp(-_int_pow(g - tau, mu))
                 mass = d.sum()
-                if mass < EMPTY_LEVEL_EPS:
+                if mass < 1e-12:
                     continue
                 c_norm = mass / (d * d).sum()
                 dp = p - tau
@@ -537,7 +536,27 @@ class TestLineTarget:
         assert isinstance(target, LineTarget)
         assert target.energies.dtype == np.uint8
         npt.assert_array_equal(target.energies, gt)
-        assert target.present.shape == target.mass.shape == target.sq_mass.shape == (4, 3)
+        assert target.luts.shape == (4, 82)
+        assert target.mass.shape == target.c_norm.shape == (4, 3)
+
+    @pytest.mark.parametrize("mu", [2, 10])
+    @pytest.mark.parametrize("name", sorted(LINE_CASES))
+    def test_c_norm_is_positive_exactly_at_the_levels_with_a_line(self, name, mu):
+        gt, _, radius = LINE_CASES[name]()
+        target = line_target(gt, mu, radius)
+        rows = gt.reshape(-1, gt.shape[2] * gt.shape[3])
+        present = np.array([[(row == tau).any() for row in rows] for tau in range(1, radius + 1)])
+        npt.assert_array_equal(target.c_norm > 0, present)
+        assert (target.c_norm[present] >= 1.0).all()
+        assert (target.c_norm[~present] == 0.0).all()
+
+    @pytest.mark.parametrize("radius", [0, -1, 2.0, True, None])
+    def test_rejects_a_radius_that_is_not_a_positive_integer(self, radius):
+        gt, pred, _ = _ac_case("A", 5, (8, 8), 0)
+        with pytest.raises(ValueError, match=rf"radius must be an integer >= 1, got {radius!r}$"):
+            line_target(gt, 10, radius)
+        with pytest.raises(ValueError, match=rf"radius must be an integer >= 1, got {radius!r}$"):
+            equipotential_line_loss(gt, pred, LossConfig(), radius)
 
     @pytest.mark.parametrize("dtype", [float, np.int16])
     def test_rejects_negative_energies(self, dtype):
@@ -575,6 +594,8 @@ class TestLineTarget:
             equipotential_line_loss(target, pred, LossConfig(mu_exp=2), radius)
         with pytest.raises(ValueError):
             equipotential_line_loss(target, pred, LossConfig(), radius + 1)
+        with pytest.raises(ValueError, match=r"got mu=10, radius=2\.0$"):
+            equipotential_line_loss(target, pred, LossConfig(), float(radius))
         with pytest.raises(ValueError):
             equipotential_dice(target, pred[:, :, :4], LossConfig(), radius)
 

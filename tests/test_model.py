@@ -305,7 +305,7 @@ class TestObjectiveInPlace:
     @pytest.mark.parametrize("norm", ["l1", "l2"])
     def test_a_step_holds_at_most_three_energy_tensors(self, norm, target_kind):
         # e_pred and the gradient, plus the line loss's blocks and smaller arrays
-        # (and, from the level tables, the integer ground truth being rebuilt)
+        # (and the integer ground truth being rebuilt)
         peak = self._peak_in_energy_tensors(target_kind, norm=norm)
         assert peak <= 3, f"peak {peak:.2f} energy tensors"
 
@@ -363,7 +363,7 @@ class TestIntegerGroundTruth:
         (target, e_pred, loss_cfg, radius), = seen  # the positional call perfbench unpacks
         assert isinstance(target, LineTarget) and target.energies.dtype == dtype
         npt.assert_array_equal(target.energies, expected)
-        assert all(getattr(target, n) is getattr(full, n) for n in ("luts", "present", "mass"))
+        assert all(getattr(target, n) is getattr(full, n) for n in ("luts", "mass", "c_norm"))
         terms_full, dprobs_full = model.objective(probs, labels, cfg, full)
         assert terms == terms_full
         npt.assert_array_equal(dprobs, dprobs_full)
