@@ -88,7 +88,10 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 PGM into an int32 label map."""
+    """Read a binary P5 PGM into an int32 label map.
+
+    Any maxval from 1 to 255 is accepted; a pixel above it is malformed.
+    """
     buf = Path(path).read_bytes()
     magic, pos = _next_token(buf, 0)
     if magic != b"P5":
@@ -109,4 +112,9 @@ def read_pgm(path) -> np.ndarray:
     data = buf[pos:pos + width * height]
     if len(data) != width * height:
         raise FormatError(f"{path}: expected {width * height} pixels, got {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8).reshape(height, width).astype(np.int32)
+    pixels = np.frombuffer(data, dtype=np.uint8)
+    if maxval < 255:
+        over = np.count_nonzero(pixels > maxval)
+        if over:
+            raise FormatError(f"{path}: {over} pixel(s) exceed maxval {maxval}")
+    return pixels.reshape(height, width).astype(np.int32)

@@ -273,6 +273,9 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
     luts = np.exp(-_int_pow(values[None, :] - levels[:, None], mu))
     n_dirs, n_classes, h, w = gt.shape
     codes = energies.reshape(n_dirs * n_classes, h * w)
+    # compared in an integer dtype that holds both the codes and every level
+    code_type = np.result_type(codes, np.min_scalar_type(radius))
+    level_codes = np.arange(1, radius + 1, dtype=code_type)[:, None, None]
     present = np.empty((radius, codes.shape[0]), dtype=bool)
     mass = np.empty(present.shape)
     square_sum = np.empty(present.shape)
@@ -280,7 +283,7 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
     for r0 in range(0, codes.shape[0], step):
         rows = slice(r0, r0 + step)
         d = _memberships(luts, codes[rows])
-        present[:, rows] = (codes[rows] == levels[:, None, None]).any(axis=2)
+        present[:, rows] = (codes[rows] == level_codes).any(axis=2)
         mass[:, rows] = d.sum(axis=2)
         square_sum[:, rows] = np.square(d, out=d).sum(axis=2)
     c_norm = np.divide(mass, square_sum, out=np.zeros(mass.shape), where=present)

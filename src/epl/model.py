@@ -13,16 +13,18 @@ or off.
 Each net keeps a workspace for the last input shape it saw: every
 intermediate of the conv layers (padded inputs, im2col matrices, the second
 conv's activation, logits, hidden-layer gradients, col2im's tap columns and
-accumulator), 4.2 MB at 64x64 and 9.3 MB at 96x96 for one input channel and
-three classes; relu runs in place, so no pre-activation is kept.  It is
-rebuilt only when the shape changes, so a steady-state step allocates (and
-page-faults in) none of them.  col2im runs over zero-bordered, flattened
+accumulator), 3.6 MB at 64x64 and 8.1 MB at 96x96 for one input channel and
+three classes; relu runs in place, so no pre-activation is kept, and col2im
+writes over the second conv's im2col matrix once the backward has read it.
+It is rebuilt only when the shape changes, so a steady-state step allocates
+(and page-faults in) none of them.  col2im runs over zero-bordered, flattened
 planes (the second conv's padded input, which the forward is done with), one
 tap at a time, so each of its nine shifted adds is one contiguous 1-D add
 (fields._add_at_offset).  Hence:
 
-- the cache of ``forward_with_cache`` is valid until the next forward on the
-  same net; probabilities, gradients and losses are fresh arrays;
+- the cache of ``forward_with_cache`` serves one ``backward_from_probs``,
+  before the next forward on the same net; probabilities, gradients and
+  losses are fresh arrays;
 - a net is not shared across threads.
 """
 
@@ -114,10 +116,14 @@ class _Workspace:
     tap, relu(z1), since relu(z) > 0 exactly when z > 0.
     Backward: the hidden-layer gradient dz; for the second conv's col2im,
     one tap's columns dcols (HIDDEN, (H+2)*(W+2)) over the padded planes and
-    the padded accumulator acc.  Two forward buffers are reused once the
-    forward is done with them: logits for the softmax-input gradient, and
-    pad2 (the same shape and zero border) for col2im's padded output
-    gradient, whose interior alone is written.
+    the padded accumulator acc.  Three forward buffers are reused once they
+    are read: logits for the softmax-input gradient; pad2 (the same shape
+    and zero border) for col2im's padded output gradient, whose interior
+    alone is written; and cols2 for dcols and acc.  Nothing reads cols2
+    after the second conv's weight gradient but its centre tap, whose mask
+    is taken before col2im runs, so cols2 is the first 72*H*W floats of one
+    scratch array of max(72*H*W, 16*(H+2)*(W+2)) floats, and dcols and acc
+    are its first 16*(H+2)*(W+2), back to back.
     """
 
     def __init__(self, shape: tuple, num_classes: int):
@@ -126,11 +132,13 @@ class _Workspace:
         self.pad1 = np.zeros((cin, h + 2, w + 2))
         self.cols1 = np.empty((cin, 9, h, w))
         self.pad2 = np.zeros((HIDDEN, h + 2, w + 2))
-        self.cols2 = np.empty((HIDDEN, 9, h, w))
+        cols, padded = HIDDEN * 9 * h * w, HIDDEN * (h + 2) * (w + 2)
+        scratch = np.empty(max(cols, 2 * padded))
+        self.cols2 = scratch[:cols].reshape(HIDDEN, 9, h, w)
+        self.dcols = scratch[:padded].reshape(HIDDEN, (h + 2) * (w + 2))
+        self.acc = scratch[padded:2 * padded].reshape(HIDDEN, h + 2, w + 2)
         self.a2, self.dz = np.empty((2, HIDDEN, h, w))
         self.logits = np.empty((num_classes, h, w))
-        self.dcols = np.empty((HIDDEN, (h + 2) * (w + 2)))
-        self.acc = np.empty((HIDDEN, h + 2, w + 2))
 
 
 def _gather3(pad: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -250,8 +258,9 @@ class TinyNet:
         """Probabilities and the cache for backward_from_probs.
 
         The cache holds workspace buffers (cols1, cols2 and a2, no
-        pre-activation): it is valid until the next forward on this net.
-        The probabilities are a fresh array.
+        pre-activation): it serves one backward_from_probs, which writes
+        over cols2, before the next forward on this net.  The probabilities
+        are a fresh array.
         """
         x = self._as_input(image)
         ws = self._workspace(x.shape)
@@ -274,7 +283,8 @@ class TinyNet:
     def backward_from_probs(self, cache: dict, dprobs: np.ndarray) -> np.ndarray:
         """Chain a gradient w.r.t. the softmax output down to a flat theta gradient.
 
-        cache must come from the latest forward on this net.
+        cache must come from the latest forward on this net, and serves
+        one call: col2im writes over its cols2.
         """
         ws = self._ws
         probs, a2 = cache["probs"], cache["a2"]
@@ -288,8 +298,9 @@ class TinyNet:
         np.matmul(self.param("w3").T, dz3.reshape(k, -1), out=dz.reshape(HIDDEN, -1))
         dz *= a2 > 0
         dw2, db2 = _conv3_param_grads(dz, cache["cols2"], self.param("w2"))
+        relu1 = cache["cols2"][:, 4] > 0  # the centre tap is relu(z1); col2im overwrites it
         da1 = _conv3_input_grad(dz, self.param("w2"), ws)
-        np.multiply(da1, cache["cols2"][:, 4] > 0, out=dz)  # the centre tap is relu(z1)
+        np.multiply(da1, relu1, out=dz)
         dw1, db1 = _conv3_param_grads(dz, cache["cols1"], self.param("w1"))
         grad = np.empty_like(self.theta)
         for name, part in (("w1", dw1), ("b1", db1), ("w2", dw2),

@@ -630,6 +630,17 @@ class TestErrorPaths:
                 "2-D with equal shapes, got (6, 8) vs (8, 8)") in err
         assert not out.exists()
 
+    def test_eval_names_a_map_with_a_pixel_above_its_maxval(self, tmp_path, capsys):
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        io.write_pgm(pred_dir / "a.pgm", np.zeros((1, 2), dtype=int))
+        (gt_dir / "a.pgm").write_bytes(b"P5\n2 1\n3\n\x00\x07")
+        out = tmp_path / "eval"
+        assert run("eval", "--pred", pred_dir, "--gt", gt_dir, "--out", out) == 2
+        assert f"error: {gt_dir / 'a.pgm'}: 1 pixel(s) exceed maxval 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_convert_names_a_map_with_a_label_beyond_the_classes(self, tmp_path, capsys):
         lab = np.zeros((9, 9), dtype=int)
         lab[3:6, 3:6] = 2

@@ -82,3 +82,17 @@ class TestPgm:
         (tmp_path / "x.pgm").write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(FormatError):
             read_pgm(tmp_path / "x.pgm")
+
+    def test_rejects_pixels_above_a_maxval_below_255(self, tmp_path):
+        (tmp_path / "x.pgm").write_bytes(b"P5\n2 1\n3\n\x00\x07")
+        with pytest.raises(FormatError, match=r"x\.pgm: 1 pixel\(s\) exceed maxval 3$"):
+            read_pgm(tmp_path / "x.pgm")
+        (tmp_path / "y.pgm").write_bytes(b"P5\n3 1\n1\n\x02\x01\xff")
+        with pytest.raises(FormatError, match=r"y\.pgm: 2 pixel\(s\) exceed maxval 1$"):
+            read_pgm(tmp_path / "y.pgm")
+
+    @pytest.mark.parametrize("maxval", [3, 7, 255])
+    def test_pixels_up_to_maxval_are_read(self, tmp_path, maxval):
+        body = bytes([0, maxval // 2, maxval])
+        (tmp_path / "x.pgm").write_bytes(b"P5\n3 1\n%d\n" % maxval + body)
+        npt.assert_array_equal(read_pgm(tmp_path / "x.pgm"), [list(body)])

@@ -550,6 +550,22 @@ class TestLineTarget:
         assert (target.c_norm[present] >= 1.0).all()
         assert (target.c_norm[~present] == 0.0).all()
 
+    # a radius past the codes' dtype: a level compared in that dtype would
+    # wrap round to 0 and find the zero codes
+    @pytest.mark.parametrize("dtype, radius", [(np.uint8, 1), (np.uint8, 4), (np.uint8, 255),
+                                               (np.uint8, 300), (np.uint16, 4),
+                                               (np.uint16, 65537), (np.int64, 3)])
+    def test_levels_are_found_as_a_float_compare_finds_them(self, dtype, radius):
+        rng = np.random.default_rng(radius)
+        gt = rng.integers(0, 6, (2, 3, 4, 5)).astype(dtype)
+        gt[0, 1] = 0  # a plane with no line at any level
+        gt[1, 2, 0, 0] = min(radius, 5)  # one pixel on the outermost level inside the codes
+        target = line_target(gt, 2, radius)
+        levels = np.arange(1, radius + 1, dtype=np.float64)[:, None, None]
+        present = (gt.reshape(6, 20) == levels).any(axis=2)
+        npt.assert_array_equal(target.c_norm != 0, present)
+        assert (target.c_norm[present] >= 1.0).all()
+
     @pytest.mark.parametrize("radius", [0, -1, 2.0, True, None])
     def test_rejects_a_radius_that_is_not_a_positive_integer(self, radius):
         gt, pred, _ = _ac_case("A", 5, (8, 8), 0)

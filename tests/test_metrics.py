@@ -485,6 +485,14 @@ class TestChebyshevDilate:
         masks = np.random.default_rng(4).random((3, 9, 8)) < 0.1
         npt.assert_array_equal(chebyshev_dilate(masks, 2),
                                [brute_dilate(m, 2) for m in masks])
+        # an empty plane between set ones, and reaches past a plane's size:
+        # no pixel may cross from one plane into the next
+        stack = np.random.default_rng(5).random((5, 10, 17)) < 0.05
+        stack[2] = False
+        stack[[1, 3], -1, -1] = stack[[1, 3], 0, 0] = True
+        for dist in (0, 1, 2, 5, 9, 10, 11, 16, 17, 25):
+            npt.assert_array_equal(chebyshev_dilate(stack, dist),
+                                   [brute_dilate(m, dist) for m in stack], err_msg=f"dist {dist}")
 
 
 def brute_fmeasure(pred, gt, k, tol):

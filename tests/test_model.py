@@ -127,8 +127,9 @@ class TestConvReference:
         net = TinyNet(1, 3, seed=4)
         # alternating shapes on one net: the workspace is rebuilt each time;
         # odd sizes run the padded col2im GEMM at many column counts
+        # (1, 2) and (2, 1): col2im's dcols and acc, not cols2, size the scratch
         for shape in ((10, 10), (12, 9), (64, 64), (12, 9), (10, 10), (1, 1), (1, 9),
-                      (9, 1), (13, 11), (7, 5), (31, 29), (33, 65)):
+                      (9, 1), (1, 2), (2, 1), (13, 11), (7, 5), (31, 29), (33, 65)):
             image = rng.normal(size=shape)
             dprobs = rng.normal(size=(3,) + shape)
             probs, cache = net.forward_with_cache(image)
@@ -140,11 +141,36 @@ class TestConvReference:
                 npt.assert_array_equal(cache[key], ref_cache[key], err_msg=key)
             npt.assert_array_equal(net.backward_from_probs(cache, dprobs), ref_grad)
 
+    @staticmethod
+    def workspace_bytes(net):
+        """Bytes of the workspace's memory, each shared buffer counted once."""
+        owners = {}
+        for a in vars(net._ws).values():
+            if isinstance(a, np.ndarray):
+                owner = a if a.base is None else a.base
+                owners[id(owner)] = owner.nbytes
+        return sum(owners.values())
+
     def test_the_64x64_workspace_is_at_most_4_2_mb(self):
         net = TinyNet(1, 3, seed=0)
         net.forward(np.zeros((64, 64)))
-        size = sum(a.nbytes for a in vars(net._ws).values() if isinstance(a, np.ndarray))
+        size = self.workspace_bytes(net)
         assert size <= 4.2e6, f"{size / 1e6:.2f} MB"
+
+    def test_the_96x96_workspace_is_at_most_8_1_mb(self):
+        net = TinyNet(1, 3, seed=0)
+        net.forward(np.zeros((96, 96)))
+        size = self.workspace_bytes(net)
+        assert size <= 8.1e6, f"{size / 1e6:.2f} MB"
+
+    @pytest.mark.parametrize("shape", [(96, 96), (1, 2), (2, 1)])
+    def test_col2im_reuses_the_second_convs_im2col_scratch(self, shape):
+        net = TinyNet(1, 3, seed=0)
+        net.forward(np.zeros(shape))
+        ws = net._ws
+        for name in ("dcols", "acc"):
+            assert np.shares_memory(getattr(ws, name), ws.cols2), name
+        assert not np.shares_memory(ws.dcols, ws.acc)
 
     def test_buffers_are_reused_and_outputs_are_fresh(self):
         rng = np.random.default_rng(12)
