@@ -20,6 +20,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -117,10 +118,9 @@ def cmd_train(args, cfg: dict) -> int:
     samples, _manifest = datagen.read_dataset(args.data)
     train_set, val_set = _split_train_val(samples, cfg["train"]["val_fraction"])
     train_cfg = config_mod.build_train_config(cfg)
-    net, history = model.train(train_set, train_cfg, eval_dataset=val_set or None)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_history(out, history)
+    net, history = model.train(train_set, train_cfg, eval_dataset=val_set or None,
+                               on_epoch=partial(_write_history, out))
     model.save_checkpoint(out / "checkpoint", net, config_mod.train_sections(train_cfg))
     _echo_config(out, "train", cfg, {
         "data": str(args.data),
@@ -137,6 +137,8 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def _write_history(out_dir: Path, history: list[dict]) -> None:
+    """history.json and history.csv of the epochs so far; out_dir is made at the first write."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "history.json", history)
     with (out_dir / "history.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(history[0].keys()))

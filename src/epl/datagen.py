@@ -38,7 +38,8 @@ class SceneSpec:
     """Scene recipe; `intensities` defaults to an even spread over [0, 1].
 
     The integer fields are ints (not bools); noise_sigma and each intensity
-    are ints or floats (not bools), stored as floats.
+    are ints or floats (not bools), stored as floats.  classes lies in
+    [2, 256], since a label is one PGM byte.
     """
 
     kind: str = "mixed"
@@ -59,6 +60,9 @@ class SceneSpec:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.classes < 2:
             raise ValueError(f"need at least background + one class, got classes={self.classes}")
+        if self.classes > 256:
+            raise ValueError(f"a PGM label is one byte, so at most 256 classes fit, "
+                             f"got classes={self.classes}")
         if self.height < 16 or self.width < 16:
             raise ValueError("scenes need at least a 16x16 canvas")
         if self.count < 1:
@@ -96,7 +100,7 @@ class SceneSpec:
 
 @dataclass
 class Sample:
-    """One scene: a float32 intensity image and its int32 label map."""
+    """One scene: a float32 intensity image and its uint8 label map."""
 
     image: np.ndarray
     labels: np.ndarray
@@ -104,7 +108,7 @@ class Sample:
 
 def _scene_adjacent_rects(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     h, w = spec.height, spec.width
-    labels = np.zeros((h, w), dtype=np.int32)
+    labels = np.zeros((h, w), dtype=np.uint8)
     transpose = bool(rng.integers(0, 2))
     if transpose:
         h, w = w, h
@@ -123,7 +127,7 @@ def _scene_adjacent_rects(spec: SceneSpec, rng: np.random.Generator) -> np.ndarr
     else:
         raise ValueError(f"cannot fit {n_rects} adjacent rectangles in a {h}x{w} canvas")
     order = rng.permutation(np.arange(1, spec.classes))
-    block = np.zeros((h, w), dtype=np.int32)
+    block = np.zeros((h, w), dtype=np.uint8)
     for cls, left, right in zip(order, edges[:-1], edges[1:]):
         block[y0:y1, left:right] = cls
     labels[:, :] = block.T if transpose else block
@@ -162,7 +166,7 @@ def _disk_pair(box_h: int, box_w: int, gap: int, r_lo: int, r_hi: int, rng):
 
 def _scene_touching_disks(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     h, w = spec.height, spec.width
-    labels = np.zeros((h, w), dtype=np.int32)
+    labels = np.zeros((h, w), dtype=np.uint8)
     occupied = np.zeros((h, w), dtype=bool)
     r_lo = max(2, min(h, w) // 12)
     r_hi = max(r_lo + 1, min(h, w) // 7)
@@ -204,7 +208,7 @@ def _scene_touching_disks(spec: SceneSpec, rng: np.random.Generator) -> np.ndarr
 
 def _scene_random_polygons(spec: SceneSpec, rng: np.random.Generator) -> np.ndarray:
     h, w = spec.height, spec.width
-    labels = np.zeros((h, w), dtype=np.int32)
+    labels = np.zeros((h, w), dtype=np.uint8)
     yy, xx = np.mgrid[:h, :w]
     n_polys = int(rng.integers(2, 5))
     for _ in range(n_polys):

@@ -88,7 +88,7 @@ def _next_token(buf: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary P5 PGM into an int32 label map.
+    """Read a binary P5 PGM into a uint8 label map, the bytes it holds.
 
     Any maxval from 1 to 255 is accepted; a pixel above it is malformed.
     """
@@ -117,4 +117,4 @@ def read_pgm(path) -> np.ndarray:
         over = np.count_nonzero(pixels > maxval)
         if over:
             raise FormatError(f"{path}: {over} pixel(s) exceed maxval {maxval}")
-    return pixels.reshape(height, width).astype(np.int32)
+    return pixels.reshape(height, width).copy()

@@ -12,10 +12,11 @@ or off.
 
 Each net keeps a workspace for the last input shape it saw: every
 intermediate of the conv layers (padded inputs, im2col matrices, the second
-conv's activation, logits, hidden-layer gradients, col2im's tap columns and
-accumulator), 3.6 MB at 64x64 and 8.1 MB at 96x96 for one input channel and
-three classes; relu runs in place, so no pre-activation is kept, and col2im
-writes over the second conv's im2col matrix once the backward has read it.
+conv's activation, logits, col2im's tap columns and accumulator), 3.33 MB
+at 64x64 and 7.47 MB at 96x96 for one input channel and three classes; relu
+runs in place, so no pre-activation is kept, and the backward writes the
+hidden-layer gradient over the second conv's activation and col2im over its
+im2col matrix once it has read them.
 It is rebuilt only when the shape changes, so a steady-state step allocates
 (and page-faults in) none of them.  col2im runs over zero-bordered, flattened
 planes (the second conv's padded input, which the forward is done with), one
@@ -114,12 +115,13 @@ class _Workspace:
     GEMMs write into a2 and relu runs in place (conv1's into pad2's
     interior).  The backward reads the relu masks off a2 and cols2's centre
     tap, relu(z1), since relu(z) > 0 exactly when z > 0.
-    Backward: the hidden-layer gradient dz; for the second conv's col2im,
-    one tap's columns dcols (HIDDEN, (H+2)*(W+2)) over the padded planes and
-    the padded accumulator acc.  Three forward buffers are reused once they
-    are read: logits for the softmax-input gradient; pad2 (the same shape
-    and zero border) for col2im's padded output gradient, whose interior
-    alone is written; and cols2 for dcols and acc.  Nothing reads cols2
+    Backward: for the second conv's col2im, one tap's columns dcols
+    (HIDDEN, (H+2)*(W+2)) over the padded planes and the padded accumulator
+    acc.  Four forward buffers are reused once they are read: logits for the
+    softmax-input gradient; a2, once the last layer's weight gradient and
+    the relu mask have read it, for the hidden-layer gradient; pad2 (the
+    same shape and zero border) for col2im's padded output gradient, whose
+    interior alone is written; and cols2 for dcols and acc.  Nothing reads cols2
     after the second conv's weight gradient but its centre tap, whose mask
     is taken before col2im runs, so cols2 is the first 72*H*W floats of one
     scratch array of max(72*H*W, 16*(H+2)*(W+2)) floats, and dcols and acc
@@ -137,7 +139,7 @@ class _Workspace:
         self.cols2 = scratch[:cols].reshape(HIDDEN, 9, h, w)
         self.dcols = scratch[:padded].reshape(HIDDEN, (h + 2) * (w + 2))
         self.acc = scratch[padded:2 * padded].reshape(HIDDEN, h + 2, w + 2)
-        self.a2, self.dz = np.empty((2, HIDDEN, h, w))
+        self.a2 = np.empty((HIDDEN, h, w))
         self.logits = np.empty((num_classes, h, w))
 
 
@@ -259,8 +261,8 @@ class TinyNet:
 
         The cache holds workspace buffers (cols1, cols2 and a2, no
         pre-activation): it serves one backward_from_probs, which writes
-        over cols2, before the next forward on this net.  The probabilities
-        are a fresh array.
+        over cols2 and a2, before the next forward on this net.  The
+        probabilities are a fresh array.
         """
         x = self._as_input(image)
         ws = self._workspace(x.shape)
@@ -284,7 +286,8 @@ class TinyNet:
         """Chain a gradient w.r.t. the softmax output down to a flat theta gradient.
 
         cache must come from the latest forward on this net, and serves
-        one call: col2im writes over its cols2.
+        one call: the hidden-layer gradient writes over its a2 and col2im
+        over its cols2.
         """
         ws = self._ws
         probs, a2 = cache["probs"], cache["a2"]
@@ -294,9 +297,10 @@ class TinyNet:
         dz3 *= probs
         dw3 = dz3.reshape(k, -1) @ a2.reshape(HIDDEN, -1).T
         db3 = dz3.sum(axis=(1, 2))
-        dz = ws.dz
+        relu2 = a2 > 0
+        dz = a2  # the hidden-layer gradient; dw3 and relu2 have read a2
         np.matmul(self.param("w3").T, dz3.reshape(k, -1), out=dz.reshape(HIDDEN, -1))
-        dz *= a2 > 0
+        dz *= relu2
         dw2, db2 = _conv3_param_grads(dz, cache["cols2"], self.param("w2"))
         relu1 = cache["cols2"][:, 4] > 0  # the centre tap is relu(z1); col2im overwrites it
         da1 = _conv3_input_grad(dz, self.param("w2"), ws)
@@ -416,12 +420,13 @@ def _epoch_metrics(net: TinyNet, samples) -> dict:
             "fmeasure": fmeasure}
 
 
-def train(dataset, cfg: TrainConfig, eval_dataset=None):
+def train(dataset, cfg: TrainConfig, eval_dataset=None, on_epoch=None):
     """SGD with momentum over the training objective; returns (net, history).
 
     History holds one record per epoch: mean loss terms over the epoch's
     steps plus mIoU / trimap IoU / boundary F of the current net on
-    `eval_dataset` (the training set when none is given).  The net has a
+    `eval_dataset` (the training set when none is given).  on_epoch, when
+    given, is called with the history so far after each epoch.  The net has a
     class for every label up to the largest of either set.  Labels never
     change, so each sample's ground truth is built once per run, and only
     its line-target level tables are kept (1.7 KiB at 96x96, 3 classes,
@@ -474,6 +479,8 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None):
         record.update({f"loss_{k}": sums[k] / len(order) for k in ("ce", "point", "line", "total")})
         record.update(_epoch_metrics(net, eval_samples))
         history.append(record)
+        if on_epoch is not None:
+            on_epoch(history)
     return net, history
 
 

@@ -236,6 +236,13 @@ class TestGen:
                    "--classes", 1) == 2
         assert "class" in capsys.readouterr().err
 
+    def test_more_classes_than_a_pgm_byte_holds_exits_2_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("gen", "--out", out, "--kind", "random_polygons", "--classes", 300,
+                   "--noise-sigma", 0, "--count", 2) == 2
+        assert "at most 256 classes fit, got classes=300" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConvert:
     def test_square_mask_planes_and_round_trip(self, tmp_path):
@@ -877,6 +884,31 @@ class TestErrorPaths:
         assert re.search(r"^error: epoch 0, batch 0: the update left \d+ of 691 parameters "
                          r"non-finite or beyond the float32 range", capsys.readouterr().err)
         assert not out.exists()
+
+    def test_a_run_diverging_in_its_second_epoch_keeps_its_first_epochs_history(
+            self, tmp_path, capsys, monkeypatch):
+        data, out, clean = tmp_path / "data", tmp_path / "run", tmp_path / "clean"
+        assert run("gen", "--seed", 1, "--count", 4, "--height", 16, "--width", 16,
+                   "--out", data) == 0
+        flags = ("--data", data, "--epl", "off", "--val-fraction", 0)
+        assert run("train", *flags, "--out", clean, "--epochs", 1) == 0
+        capsys.readouterr()
+        calls = []
+        real_ce = model.cross_entropy_loss
+
+        def ce_then_infinite(probs, labels, want_grad=True):
+            calls.append(None)  # the first epoch steps through all 4 samples
+            ce = real_ce(probs, labels, want_grad=want_grad)
+            return ce if len(calls) <= 4 else LossValue(float("inf"), ce.gradient)
+
+        monkeypatch.setattr(model, "cross_entropy_loss", ce_then_infinite)
+        assert run("train", *flags, "--out", out, "--epochs", 2) == 1
+        assert re.search(r"^error: epoch 1, sample \d+: non-finite loss term\(s\) ce: ",
+                         capsys.readouterr().err)
+        assert [r["epoch"] for r in json.loads((out / "history.json").read_text())] == [0]
+        for name in ("history.json", "history.csv"):
+            assert (out / name).read_bytes() == (clean / name).read_bytes(), name
+        assert sorted(p.name for p in out.iterdir()) == ["history.csv", "history.json"]
 
     def test_loss_rejects_a_flat_sidecar_config(self, tmp_path, tiny_config, capsys):
         data = tmp_path / "data"

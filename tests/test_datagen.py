@@ -42,6 +42,13 @@ class TestSceneSpec:
         with pytest.raises(ValueError):
             spec(classes=1)
 
+    def test_rejects_more_classes_than_a_pgm_byte_holds(self):
+        # uint8 labels would wrap: class 300 would be stored as 44
+        with pytest.raises(ValueError, match="a PGM label is one byte, so at most 256 classes "
+                                             "fit, got classes=257"):
+            spec(classes=257, noise_sigma=0.0)
+        spec(classes=256, noise_sigma=0.0)
+
     def test_rejects_wide_gap(self):
         with pytest.raises(ValueError):
             spec(gap=3)
@@ -198,6 +205,14 @@ class TestSampleIO:
         back = read_sample(tmp_path / "s0")
         npt.assert_array_equal(back.image, s.image)
         npt.assert_array_equal(back.labels, s.labels)
+
+    @pytest.mark.parametrize("kind", ["adjacent_rects", "touching_disks", "random_polygons",
+                                      "mixed"])
+    def test_labels_are_uint8_when_generated_and_read(self, tmp_path, kind):
+        s = generate_sample(spec(kind=kind, height=48, width=48), 1)
+        write_sample(tmp_path / "s1", s)
+        assert s.labels.dtype == np.uint8
+        assert read_sample(tmp_path / "s1").labels.dtype == np.uint8
 
     def test_corrupt_magic_raises(self, tmp_path):
         s = generate_sample(spec(), 0)

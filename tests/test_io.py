@@ -54,6 +54,12 @@ class TestPgm:
         write_pgm(tmp_path / "l.pgm", lab)
         npt.assert_array_equal(read_pgm(tmp_path / "l.pgm"), lab)
 
+    def test_labels_are_read_as_writable_uint8(self, tmp_path):
+        write_pgm(tmp_path / "l.pgm", np.array([[0, 255], [7, 1]]))
+        lab = read_pgm(tmp_path / "l.pgm")
+        assert lab.dtype == np.uint8 and lab.flags.writeable
+        npt.assert_array_equal(lab, [[0, 255], [7, 1]])
+
     def test_header_has_maxval_255(self, tmp_path):
         write_pgm(tmp_path / "l.pgm", np.zeros((2, 4), dtype=int))
         assert (tmp_path / "l.pgm").read_bytes().startswith(b"P5\n4 2\n255\n")

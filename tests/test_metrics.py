@@ -261,6 +261,16 @@ class TestConfusionCount:
             assert [record["trimap_iou"][w] for w in "13"] == [
                 _loop_trimap(pred, gt, k, w) for w in (1, 3)]
 
+    def test_uint8_maps_score_as_their_int64_copies(self):
+        # the confusion code g * k + p passes 255 from k = 16 on, so a uint8 code would wrap
+        rng = np.random.default_rng(13)
+        for k in (16, 40, 256):
+            gt = rng.integers(0, k, (18, 21), dtype=np.uint8)
+            pred = np.where(rng.random(gt.shape) < 0.5, gt,
+                            rng.integers(0, k, gt.shape)).astype(np.uint8)
+            wide = evaluate_pair(pred.astype(np.int64), gt.astype(np.int64), k, [1, 3], [1, 2])
+            assert evaluate_pair(pred, gt, k, [1, 3], [1, 2]) == wide
+
     def test_absent_classes_are_nan(self):
         pred, gt, k = _absent_classes(np.random.default_rng(12))
         ious, _ = miou(pred, gt, k)
