@@ -119,14 +119,10 @@ def cmd_train(args, cfg: dict) -> int:
     train_set, val_set = _split_train_val(samples, cfg["train"]["val_fraction"])
     train_cfg = config_mod.build_train_config(cfg)
     out = Path(args.out)
+    echo = {"data": str(args.data), "train_samples": len(train_set), "val_samples": len(val_set)}
     net, history = model.train(train_set, train_cfg, eval_dataset=val_set or None,
-                               on_epoch=partial(_write_history, out))
+                               on_epoch=partial(_write_history, out, cfg, echo))
     model.save_checkpoint(out / "checkpoint", net, config_mod.train_sections(train_cfg))
-    _echo_config(out, "train", cfg, {
-        "data": str(args.data),
-        "train_samples": len(train_set),
-        "val_samples": len(val_set),
-    })
     last = history[-1]
     print(
         f"epoch {last['epoch']}: ce={last['loss_ce']:.4f} point={last['loss_point']:.4f} "
@@ -136,9 +132,11 @@ def cmd_train(args, cfg: dict) -> int:
     return 0
 
 
-def _write_history(out_dir: Path, history: list[dict]) -> None:
-    """history.json and history.csv of the epochs so far; out_dir is made at the first write."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _write_history(out_dir: Path, cfg: dict, echo: dict, history: list[dict]) -> None:
+    """history.json and history.csv of the epochs so far; the first write makes out_dir
+    and echoes the config there, so a run stopped after an epoch explains itself."""
+    if len(history) == 1:
+        _echo_config(out_dir, "train", cfg, echo)
     _write_json(out_dir / "history.json", history)
     with (out_dir / "history.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(history[0].keys()))

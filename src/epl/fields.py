@@ -14,10 +14,11 @@ diagonals, C all eight (SPLITTERS).  ACConfig holds the kind, as its config
 section does, and ACConfig.directions looks it up.
 
 Kernel and mask weights are fixed constants; nothing here is trained.  All
-operations are pure functions and accumulate in float64, except that the
-conversions keep an unsigned-integer field's dtype and sum it in integers:
-a one-hot field in the dtype of its largest energy (ACConfig.max_energy)
-gives the exact energies with no float64 array.
+operations are pure functions (the conversions write an out array only when
+given one) and accumulate in float64, except that the conversions keep an
+unsigned-integer field's dtype and sum it in integers: a one-hot field in
+the dtype of its largest energy (ACConfig.max_energy) gives the exact
+energies with no float64 array.
 
 The conversions and the adjoint shift by flat offsets: the planes are
 copied into a buffer with a zero border as wide as the reach and
@@ -122,6 +123,16 @@ def _zero_bordered(f: np.ndarray, r: int) -> np.ndarray:
     return pad
 
 
+def _output(out, shape: tuple, dtype) -> np.ndarray:
+    """out, which must be a C-contiguous array of this shape and dtype, or a fresh one."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == dtype
+            and out.flags.c_contiguous):
+        raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array of shape {shape}")
+    return out
+
+
 def _as_field(field) -> np.ndarray:
     """field as an array: an unsigned-integer one as it is, any other in float64."""
     f = np.asarray(field)
@@ -132,7 +143,7 @@ def _as_field(field) -> np.ndarray:
     return f
 
 
-def anisotropic_convolve(field, cfg: ACConfig) -> np.ndarray:
+def anisotropic_convolve(field, cfg: ACConfig, out: np.ndarray | None = None) -> np.ndarray:
     """Convert a (K, H, W) field into (|S|, K, H, W) potential energies.
 
     For direction s and class c the energy plane is
@@ -140,7 +151,9 @@ def anisotropic_convolve(field, cfg: ACConfig) -> np.ndarray:
     i.e. the box kernel restricted to the ray from the center along s.
     The map is linear in the field, so it accepts any real-valued input.
     An unsigned-integer field keeps its dtype, which must hold every sum
-    (radius + 1 times its largest value); a sum beyond it wraps.
+    (radius + 1 times its largest value); a sum beyond it wraps.  The
+    energies are a fresh array, or are written into out (a C-contiguous
+    array of their shape and dtype) and returned in it.
     """
     f = _as_field(field)
     k, h, w = f.shape
@@ -150,7 +163,7 @@ def anisotropic_convolve(field, cfg: ACConfig) -> np.ndarray:
     wp = pad.shape[-1]
     flat = pad.reshape(-1)
     acc = np.empty_like(flat)
-    out = np.empty((len(dirs),) + f.shape, dtype=f.dtype)
+    out = _output(out, (len(dirs),) + f.shape, f.dtype)
     for si, (dy, dx) in enumerate(dirs):
         acc[...] = flat
         for t in range(1, r + 1):
@@ -185,13 +198,15 @@ def ac_adjoint(energy_grad, cfg: ACConfig) -> np.ndarray:
     return acc.reshape(pad.shape)[:, r:r + h, r:r + w].copy()
 
 
-def standard_convolve(field, kernel_size: int) -> np.ndarray:
+def standard_convolve(field, kernel_size: int, out: np.ndarray | None = None) -> np.ndarray:
     """Per-class unnormalized box sum with zero padding (the isotropic ablation).
 
     No directional mask: every pixel of the odd kernel_size x kernel_size
     window contributes.  Output has the same (K, H, W) shape as the input,
     and an unsigned-integer field keeps its dtype as in anisotropic_convolve
     (every sum, up to kernel_size**2 times its largest value, must fit).
+    The sums are a fresh array, or are written into out as for
+    anisotropic_convolve.
     """
     if kernel_size < 1 or kernel_size % 2 == 0:
         raise ValueError(f"kernel_size must be odd, got {kernel_size}")
@@ -207,9 +222,11 @@ def standard_convolve(field, kernel_size: int) -> np.ndarray:
     for t in range(1, r + 1):
         _add_at_offset(rows, flat, t * wp)
         _add_at_offset(rows, flat, -t * wp)
-    out = rows.copy()
+    sums = rows.copy()
     for t in range(1, r + 1):
-        _add_at_offset(out, rows, t)
-        _add_at_offset(out, rows, -t)
-    return out.reshape(pad.shape)[:, r:r + h, r:r + w].copy()
+        _add_at_offset(sums, rows, t)
+        _add_at_offset(sums, rows, -t)
+    out = _output(out, f.shape, f.dtype)
+    out[...] = sums.reshape(pad.shape)[:, r:r + h, r:r + w]
+    return out
 

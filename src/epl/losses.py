@@ -7,9 +7,10 @@ level) it activates soft level-set memberships ``exp(-(energy - level)**mu)``
 of both energy planes and compares them with a normalized dice-style
 coefficient (EDC) that equals 1 exactly when the prediction matches the
 ground truth.  Cross-entropy and plain dice are probability-domain
-baselines.  The point loss builds its gradient in place in its one fresh
-array, and the line loss adds its weighted gradient into a caller's array
-(``model.objective`` passes the weighted point gradient) or a fresh one.
+baselines.  The point loss builds its gradient in place in its one array,
+fresh or the caller's out, and the line loss adds its weighted gradient
+into a caller's array (``model.objective`` passes the weighted point
+gradient) or a fresh one.
 
 The membership activation is evaluated over the whole plane, which keeps the
 line loss differentiable everywhere; the sorted equal-count line regions are
@@ -44,6 +45,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fields import _output
 
 #: Classes whose combined prediction + ground-truth mass is below this are
 #: left out of the dice mean.
@@ -111,14 +114,17 @@ class LossValue:
     gradient: np.ndarray | None
 
 
-def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True) -> LossValue:
+def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True,
+               out: np.ndarray | None = None) -> LossValue:
     """Direction-averaged L1/L2 regression between two potential-field sets.
 
     With delta = gt - pred, the value is sum |delta| (or delta**2) divided by
     the direction count |S| and by the element count K * H * W of one
-    direction.  Its one fresh array holds delta squared (or made absolute)
-    for the value, then delta again, turned into the gradient w.r.t. the
-    prediction in place; the gradient is None with want_grad False.
+    direction.  Its one array, fresh or out (a C-contiguous float64 array of
+    the prediction's shape that does not overlap it), holds delta squared
+    (or made absolute) for the value, then delta again, turned into the
+    gradient w.r.t. the prediction in place; the gradient is None with
+    want_grad False.
     """
     gt = np.asarray(e_gt)  # gt - pred promotes a uint8 ground truth exactly, with no copy
     pred = np.asarray(e_pred, dtype=np.float64)
@@ -126,7 +132,7 @@ def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True) -> LossVal
         raise ValueError(f"energy shapes differ: {gt.shape} vs {pred.shape}")
     if gt.ndim != 4:
         raise ValueError(f"energies must have shape (|S|, classes, height, width), got {gt.shape}")
-    delta = gt - pred
+    delta = np.subtract(gt, pred, out=_output(out, pred.shape, np.float64))
     scale = 1.0 / gt.shape[0] / delta[0].size
     l1 = cfg.norm == "l1"
     value = float((np.abs if l1 else np.square)(delta, out=delta).sum() * scale)

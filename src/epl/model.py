@@ -21,11 +21,15 @@ It is rebuilt only when the shape changes, so a steady-state step allocates
 (and page-faults in) none of them.  col2im runs over zero-bordered, flattened
 planes (the second conv's padded input, which the forward is done with), one
 tap at a time, so each of its nine shifted adds is one contiguous 1-D add
-(fields._add_at_offset).  Hence:
+(fields._add_at_offset).  A training step (backward) also lends the second
+conv's im2col scratch to objective, which writes the predicted energies and
+their gradient there instead of allocating them; nothing reads that matrix
+between its forward GEMM and its weight gradient, before which the backward
+regathers the channels the loan wrote over from the padded input.  Hence:
 
 - the cache of ``forward_with_cache`` serves one ``backward_from_probs``,
-  before the next forward on the same net; probabilities, gradients and
-  losses are fresh arrays;
+  before the next forward on the same net; probabilities, parameter
+  gradients and losses are fresh arrays;
 - a net is not shared across threads.
 """
 
@@ -126,6 +130,12 @@ class _Workspace:
     is taken before col2im runs, so cols2 is the first 72*H*W floats of one
     scratch array of max(72*H*W, 16*(H+2)*(W+2)) floats, and dcols and acc
     are its first 16*(H+2)*(W+2), back to back.
+    Between the forward and the backward the scratch is lent (lend) to
+    objective's two energy tensors, 2*|S|*K*H*W floats, and grown when
+    they do not fit (|S|*K > 36); lent counts the floats lent, and the
+    backward regathers from pad2, which holds relu(z1) until col2im, the
+    ceil(lent / (9*H*W)) channels of cols2 they cover.  A forward clears
+    the loan, since it gathers all of cols2.
     """
 
     def __init__(self, shape: tuple, num_classes: int):
@@ -134,13 +144,29 @@ class _Workspace:
         self.pad1 = np.zeros((cin, h + 2, w + 2))
         self.cols1 = np.empty((cin, 9, h, w))
         self.pad2 = np.zeros((HIDDEN, h + 2, w + 2))
-        cols, padded = HIDDEN * 9 * h * w, HIDDEN * (h + 2) * (w + 2)
-        scratch = np.empty(max(cols, 2 * padded))
-        self.cols2 = scratch[:cols].reshape(HIDDEN, 9, h, w)
-        self.dcols = scratch[:padded].reshape(HIDDEN, (h + 2) * (w + 2))
-        self.acc = scratch[padded:2 * padded].reshape(HIDDEN, h + 2, w + 2)
+        self._new_scratch(max(HIDDEN * 9 * h * w, 2 * HIDDEN * (h + 2) * (w + 2)))
         self.a2 = np.empty((HIDDEN, h, w))
         self.logits = np.empty((num_classes, h, w))
+
+    def _new_scratch(self, size: int) -> None:
+        """A fresh scratch array of size floats, with cols2, dcols and acc over its front."""
+        _, h, w = self.shape
+        padded = HIDDEN * (h + 2) * (w + 2)
+        self.scratch = np.empty(size)
+        self.cols2 = self.scratch[:HIDDEN * 9 * h * w].reshape(HIDDEN, 9, h, w)
+        self.dcols = self.scratch[:padded].reshape(HIDDEN, (h + 2) * (w + 2))
+        self.acc = self.scratch[padded:2 * padded].reshape(HIDDEN, h + 2, w + 2)
+        self.lent = 0
+
+    def lend(self, size: int) -> np.ndarray:
+        """The scratch's first size floats, grown to hold them, lent until the next backward.
+
+        A grown scratch leaves the cache's cols2 in the old one, intact.
+        """
+        if size > self.scratch.size:
+            self._new_scratch(size)
+        self.lent = size
+        return self.scratch[:size]
 
 
 def _gather3(pad: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -261,11 +287,12 @@ class TinyNet:
 
         The cache holds workspace buffers (cols1, cols2 and a2, no
         pre-activation): it serves one backward_from_probs, which writes
-        over cols2 and a2, before the next forward on this net.  The
-        probabilities are a fresh array.
+        over cols2 and a2, before the next forward on this net, which also
+        ends any loan of the scratch.  The probabilities are a fresh array.
         """
         x = self._as_input(image)
         ws = self._workspace(x.shape)
+        ws.lent = 0  # this forward gathers all of cols2
         ws.pad1[:, 1:-1, 1:-1] = x
         z1 = _conv3(_gather3(ws.pad1, ws.cols1), self.param("w1"), self.param("b1"), ws.a2)
         np.maximum(z1, 0.0, out=ws.pad2[:, 1:-1, 1:-1])
@@ -287,7 +314,8 @@ class TinyNet:
 
         cache must come from the latest forward on this net, and serves
         one call: the hidden-layer gradient writes over its a2 and col2im
-        over its cols2.
+        over its cols2.  The channels of cols2 under an outstanding loan of
+        the scratch are regathered first, and the loan ends.
         """
         ws = self._ws
         probs, a2 = cache["probs"], cache["a2"]
@@ -301,6 +329,11 @@ class TinyNet:
         dz = a2  # the hidden-layer gradient; dw3 and relu2 have read a2
         np.matmul(self.param("w3").T, dz3.reshape(k, -1), out=dz.reshape(HIDDEN, -1))
         dz *= relu2
+        if ws.lent:  # regather the channels of cols2 a loan wrote over
+            _, h, w = ws.shape
+            c = min(HIDDEN, -(-ws.lent // (9 * h * w)))
+            _gather3(ws.pad2[:c], cache["cols2"][:c])
+            ws.lent = 0
         dw2, db2 = _conv3_param_grads(dz, cache["cols2"], self.param("w2"))
         relu1 = cache["cols2"][:, 4] > 0  # the centre tap is relu(z1); col2im overwrites it
         da1 = _conv3_input_grad(dz, self.param("w2"), ws)
@@ -314,11 +347,20 @@ class TinyNet:
         return grad
 
 
-def convert(field: np.ndarray, cfg: TrainConfig) -> np.ndarray:
-    """Potential energies (|S|, K, H, W) of a (K, H, W) field; |S| = 1 for the "sc" converter."""
+def _energy_shape(field_shape: tuple, cfg: TrainConfig) -> tuple:
+    """The shape (|S|, K, H, W) convert gives a (K, H, W) field."""
+    return (1 if cfg.ac.converter == "sc" else len(cfg.ac.directions),) + tuple(field_shape)
+
+
+def convert(field: np.ndarray, cfg: TrainConfig, out: np.ndarray | None = None) -> np.ndarray:
+    """Potential energies (|S|, K, H, W) of a (K, H, W) field; |S| = 1 for the "sc" converter.
+
+    A fresh array, or out (a C-contiguous array of that shape and the
+    converter's dtype) written and returned.
+    """
     if cfg.ac.converter == "sc":
-        return standard_convolve(field, cfg.ac.kernel_size)[None]
-    return anisotropic_convolve(field, cfg.ac)
+        return standard_convolve(field, cfg.ac.kernel_size, None if out is None else out[0])[None]
+    return anisotropic_convolve(field, cfg.ac, out)
 
 
 def _convert_adjoint(energy_grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
@@ -347,17 +389,19 @@ def ground_truth(labels, num_classes: int, cfg: TrainConfig) -> LineTarget:
 
 
 def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
-              want_grad: bool = True):
+              want_grad: bool = True, scratch: np.ndarray | None = None):
     """The training objective CE + lambda1 * point + lambda2 * line, and its gradient.
 
     probs is a (K, H, W) probability field.  Returns the terms (ce, point,
     line and their weighted total) and the gradient of the total w.r.t.
-    probs.  The point gradient, a fresh array, is weighted in place, and the
-    line loss adds its weighted gradient into it block by block (or into a
-    fresh array when lambda1 is 0), so two energy-sized arrays are alive:
-    the predicted energies and the gradient.  That gradient is chained back
-    through the converter's adjoint.  A potential term is evaluated only
-    when its weight is positive, and reads 0.0 otherwise.
+    probs.  The point gradient is weighted in place, and the line loss adds
+    its weighted gradient into it block by block (or into an array of -0.0
+    when lambda1 is 0), so two energy-sized arrays are alive: the predicted
+    energies and the gradient.  They are fresh arrays, or, given scratch (a
+    flat float64 array of at least 2*|S|*K*H*W floats, as backward lends
+    it), its first and second |S|*K*H*W floats.  That gradient is chained
+    back through the converter's adjoint.  A potential term is evaluated
+    only when its weight is positive, and reads 0.0 otherwise.
     target is ground_truth(labels, ...), built here when needed and not
     given.  A given target supplies its level tables only: its energies
     (None in the tables train holds) are rebuilt from the labels in
@@ -374,14 +418,22 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
             target = ground_truth(labels, probs.shape[0], cfg)
         else:
             target = replace(target, energies=_label_energies(labels, probs.shape[0], cfg))
-        e_pred = convert(probs, cfg)
+        pred_out = grad_out = None
+        if scratch is not None:
+            shape = _energy_shape(probs.shape, cfg)
+            n = math.prod(shape)
+            pred_out, grad_out = scratch[:n].reshape(shape), scratch[n:2 * n].reshape(shape)
+        e_pred = convert(probs, cfg, pred_out)
         e_grad = None
         if loss.lambda1 > 0:
-            pt = point_loss(target.energies, e_pred, loss, want_grad=want_grad)
+            pt = point_loss(target.energies, e_pred, loss, want_grad=want_grad, out=grad_out)
             terms["point"] = pt.value
             e_grad = pt.gradient
             if want_grad:
                 e_grad *= loss.lambda1
+        elif grad_out is not None:
+            e_grad = grad_out  # the line loss adds into it as into a fresh array
+            e_grad.fill(-0.0)
         if loss.lambda2 > 0:
             # Keep these four arguments positional and e_pred unwritten:
             # perfbench/tracer.py unpacks them and rescores e_pred after the call.
@@ -399,10 +451,15 @@ def backward(net: TinyNet, image, labels, cfg: TrainConfig, target: LineTarget |
     """Loss terms and the flat parameter gradient of the training objective.
 
     target is ground_truth(labels, ...), or its level tables with energies
-    None, as for objective; it is built here when not given.
+    None, as for objective; it is built here when not given.  A step with a
+    potential term lends objective the net's workspace scratch for its two
+    energy tensors; a cross-entropy-only step lends nothing.
     """
     probs, cache = net.forward_with_cache(image)
-    terms, dprobs = objective(probs, labels, cfg, target)
+    scratch = None
+    if cfg.loss.lambda1 > 0 or cfg.loss.lambda2 > 0:
+        scratch = net._ws.lend(2 * math.prod(_energy_shape(probs.shape, cfg)))
+    terms, dprobs = objective(probs, labels, cfg, target, scratch=scratch)
     if not np.isfinite(terms["total"]):
         bad = [k for k in ("ce", "point", "line") if not np.isfinite(terms[k])] or ["total"]
         raise TrainingDiverged(f"non-finite loss term(s) {', '.join(bad)}: {terms}")

@@ -908,7 +908,11 @@ class TestErrorPaths:
         assert [r["epoch"] for r in json.loads((out / "history.json").read_text())] == [0]
         for name in ("history.json", "history.csv"):
             assert (out / name).read_bytes() == (clean / name).read_bytes(), name
-        assert sorted(p.name for p in out.iterdir()) == ["history.csv", "history.json"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "config_echo.json", "history.csv", "history.json"]
+        echo = json.loads((out / "config_echo.json").read_text())
+        assert echo["command"] == "train" and echo["config"]["train"]["epochs"] == 2
+        assert (echo["data"], echo["train_samples"], echo["val_samples"]) == (str(data), 4, 0)
 
     def test_loss_rejects_a_flat_sidecar_config(self, tmp_path, tiny_config, capsys):
         data = tmp_path / "data"

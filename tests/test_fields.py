@@ -325,3 +325,31 @@ class TestShiftedCopyReference:
         assert box.dtype == dtype
         npt.assert_array_equal(box, self.reference_box(f.astype(float), w))
         assert anisotropic_convolve(f.astype(np.int64), cfg(w)).dtype == np.float64
+
+
+class TestOut:
+    """The conversions write into a given out and return it, as they would fill a fresh array."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.uint8])
+    def test_out_holds_the_fresh_result(self, dtype):
+        labels = np.random.default_rng(3).integers(0, 3, (9, 13))
+        f = one_hot(labels, 3, dtype) if dtype == np.uint8 else np.random.default_rng(4).random(
+            (3, 9, 13))
+        for kind in "ABC":
+            fresh = anisotropic_convolve(f, cfg(7, kind))
+            out = np.full(fresh.shape, 7, dtype=dtype)
+            assert anisotropic_convolve(f, cfg(7, kind), out=out) is out
+            npt.assert_array_equal(out, fresh)
+        fresh = standard_convolve(f, 5)
+        out = np.full(fresh.shape, 7, dtype=dtype)
+        assert standard_convolve(f, 5, out=out) is out
+        npt.assert_array_equal(out, fresh)
+
+    def test_a_wrong_out_is_rejected(self):
+        f = np.random.default_rng(5).random((2, 6, 6))
+        for bad in (np.empty((4, 2, 6, 5)), np.empty((4, 2, 6, 6), np.float32),
+                    np.empty((4, 2, 6, 12))[..., ::2]):
+            with pytest.raises(ValueError, match="out must be"):
+                anisotropic_convolve(f, cfg(3), out=bad)
+        with pytest.raises(ValueError, match="out must be"):
+            standard_convolve(f, 3, out=np.empty((2, 6, 6), np.uint8))

@@ -116,6 +116,19 @@ class TestPointLoss:
             point_loss(np.zeros((4, 1, 2, 2)), np.zeros((4, 1, 3, 3)), LossConfig())
 
     @pytest.mark.parametrize("norm", ["l1", "l2"])
+    def test_a_given_out_becomes_the_gradient(self, norm):
+        gt, _ = gt_energies(7)
+        pred = gt + np.random.default_rng(8).normal(0.0, 0.3, gt.shape)
+        fresh = point_loss(gt, pred, LossConfig(norm=norm))
+        out = np.full(gt.shape, np.nan)
+        lent = point_loss(gt.astype(np.uint8), pred, LossConfig(norm=norm), out=out)
+        assert lent.gradient is out and lent.value == fresh.value
+        npt.assert_array_equal(out, fresh.gradient)
+        npt.assert_array_equal(np.signbit(out), np.signbit(fresh.gradient))
+        with pytest.raises(ValueError, match="out must be"):
+            point_loss(gt, pred, LossConfig(norm=norm), out=np.empty(gt.shape, np.float32))
+
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
     def test_value_only_call_gives_the_value_and_no_gradient(self, norm):
         for seed in range(3):
             gt, pred, cfg = random_energies(seed), random_energies(seed + 10), LossConfig(norm=norm)

@@ -348,6 +348,107 @@ class TestObjectiveInPlace:
         assert peak < 1, f"peak {peak:.2f} energy tensors"
 
 
+class TestLentScratch:
+    """model.backward lends the workspace scratch to objective's two energy tensors."""
+
+    @staticmethod
+    def manual_step(net, image, labels, cfg):
+        """The step without a loan: objective allocates its energy tensors."""
+        probs, cache = net.forward_with_cache(image)
+        terms, dprobs = model.objective(probs, labels, cfg)
+        return terms, net.backward_from_probs(cache, dprobs)
+
+    def assert_bit_identical(self, net, image, labels, cfg, steps=2):
+        terms, expected = self.manual_step(net, image, labels, cfg)
+        for _ in range(steps):  # the first loan on this workspace, then a warm one
+            got_terms, got = model.backward(net, image, labels, cfg)
+            assert got_terms == terms
+            npt.assert_array_equal(got, expected)
+            npt.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+    @pytest.mark.parametrize("shape", [(1, 2), (2, 1), (33, 65)], ids=str)
+    @pytest.mark.parametrize("splitter", ["A", "C"])
+    @pytest.mark.parametrize("weights", [(0.1, 0.01), (0.0, 0.01), (0.1, 0.0), (0.0, 0.0)])
+    @pytest.mark.parametrize("norm", ["l1", "l2"])
+    @pytest.mark.parametrize("converter", ["ac", "sc"])
+    def test_a_lent_step_is_bit_identical_to_an_allocating_one(self, converter, norm, weights,
+                                                               splitter, shape):
+        rng = np.random.default_rng(sum(shape))
+        image, labels = rng.normal(size=shape), rng.integers(0, 3, shape, dtype=np.uint8)
+        cfg = TrainConfig(loss=LossConfig(norm=norm, lambda1=weights[0], lambda2=weights[1]),
+                          ac=ACConfig(kernel_size=5, splitter=splitter, converter=converter))
+        self.assert_bit_identical(TinyNet(1, 3, seed=2), image, labels, cfg)
+
+    @pytest.mark.parametrize("weights", [(0.1, 0.01), (0.0, 0.01)])
+    def test_the_scratch_grows_for_five_classes_at_splitter_c(self, weights):
+        # |S| * K = 40 > 36: the two tensors outgrow the 72 * H * W floats of cols2
+        rng = np.random.default_rng(9)
+        image, labels = rng.normal(size=(33, 65)), rng.integers(0, 5, (33, 65), dtype=np.uint8)
+        cfg = TrainConfig(loss=LossConfig(mu_exp=2, lambda1=weights[0], lambda2=weights[1]),
+                          ac=ACConfig(kernel_size=9, splitter="C"))
+        net = TinyNet(1, 5, seed=1)
+        net.forward(image)
+        assert net._ws.scratch.size < 2 * 40 * 33 * 65
+        self.assert_bit_identical(net, image, labels, cfg, steps=3)
+        assert net._ws.scratch.size == 2 * 40 * 33 * 65
+
+    def test_a_warm_96x96_step_holds_at_most_1_25_energy_tensors(self):
+        # e_pred and the gradient live in the workspace; what is left is the line
+        # loss's blocks, the adjoint's buffers and the probability-sized arrays
+        s, cfg, probs, tensor = TestObjectiveInPlace._dense_case()
+        net = TinyNet(1, 3, seed=0)
+        target = replace(model.ground_truth(s.labels, 3, cfg), energies=None)
+        model.backward(net, s.image, s.labels, cfg, target)
+        peak = TestObjectiveInPlace._traced_peak(
+            lambda: model.backward(net, s.image, s.labels, cfg, target)) / tensor
+        assert peak <= 1.25, f"peak {peak:.2f} energy tensors"
+
+    @staticmethod
+    def gathered_channels(monkeypatch):
+        """The channel count of every _gather3 call, as the calls are made."""
+        calls = []
+
+        def spy(pad, cols, real=model._gather3):
+            calls.append(cols.shape[0])
+            return real(pad, cols)
+
+        monkeypatch.setattr(model, "_gather3", spy)
+        return calls
+
+    def test_a_ce_step_lends_and_regathers_nothing(self, monkeypatch):
+        s = tiny_sample()
+        net = TinyNet(1, 3, seed=0)
+        calls = self.gathered_channels(monkeypatch)
+        model.backward(net, s.image, s.labels, small_cfg(lambda1=0.0, lambda2=0.0))
+        assert calls == [1, 8]
+        assert net._ws.lent == 0
+
+    @pytest.mark.parametrize("size, splitter, channels", [(64, "A", 3), (96, "C", 6)])
+    def test_a_potential_step_regathers_only_the_lent_channels(self, monkeypatch, size,
+                                                               splitter, channels):
+        # ceil(2 * |S| * K / 9) of cols2's 8 channels hold the two energy tensors
+        rng = np.random.default_rng(4)
+        image, labels = rng.normal(size=(size, size)), rng.integers(0, 3, (size, size))
+        cfg = TrainConfig(loss=LossConfig(mu_exp=2), ac=ACConfig(kernel_size=9, splitter=splitter))
+        net = TinyNet(1, 3, seed=0)
+        calls = self.gathered_channels(monkeypatch)
+        model.backward(net, image, labels, cfg)
+        assert calls == [1, 8, channels]
+        assert net._ws.lent == 0
+
+    def test_a_forward_clears_an_outstanding_loan(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        image, dprobs = rng.normal(size=(12, 9)), rng.normal(size=(3, 12, 9))
+        net = TinyNet(1, 3, seed=3)
+        net.forward(image)
+        net._ws.lend(2 * 4 * 3 * 12 * 9).fill(np.nan)  # a loan the objective never returned
+        calls = self.gathered_channels(monkeypatch)
+        probs, cache = net.forward_with_cache(image)
+        grad = net.backward_from_probs(cache, dprobs)
+        assert calls == [1, 8]
+        npt.assert_array_equal(grad, reference_forward_backward(net, image, dprobs)[2])
+
+
 def _label_maps():
     rng = np.random.default_rng(5)
     blocky = np.kron(rng.integers(0, 3, (5, 4)), np.ones((6, 7), dtype=int))[:29, :26]
