@@ -36,7 +36,11 @@ exp call: lanes whose argument is at or below EXP_ZERO_BELOW, where exp is
 exactly 0, are set to 0 before it and zeroed after it.  A block's gradient
 terms, with the rows of skipped and capped terms zeroed, are added level
 after level into a block-sized buffer, which is scaled and added into the
-gradient rows.
+gradient rows.  The loss allocates its four block-sized arrays once per
+call, and every block reuses them: fresh ones per block let the allocator
+give the memory back and page it in again at every block (6144 minor
+faults per call at 96x96 with splitter C and kernel 9, once no larger
+array of a step was allocated).
 """
 
 from __future__ import annotations
@@ -208,19 +212,21 @@ def build_line_regions(gt_plane, pred_plane, radius: int) -> LineRegions:
     )
 
 
-def _int_pow(x: np.ndarray, n: int) -> np.ndarray:
+def _int_pow(x: np.ndarray, n: int, out=(None, None)) -> np.ndarray:
     """x**n for integer n >= 1 by squaring; much faster than np.power here.
 
-    For n == 1 the result is x itself, not a copy.
+    For n == 1 the result is x itself, not a copy.  For odd n, out may hold
+    two arrays of x's shape, not x, for the product and the running square
+    (the result is then the first); fresh arrays otherwise.
     """
     result = None
     base = x
     while n:
         if n & 1:
-            result = base if result is None else result * base
+            result = base if result is None else np.multiply(result, base, out=out[0])
         n >>= 1
         if n:
-            base = base * base
+            base = np.multiply(base, base, out=out[1])
     return result
 
 
@@ -302,22 +308,34 @@ def _block_rows(radius: int, plane_size: int) -> int:
     return max(1, LINE_BLOCK_BYTES // max(1, 8 * radius * plane_size))
 
 
-def _memberships(luts: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """The ground-truth memberships (levels, rows, H*W) of a block of code rows."""
-    return np.take(luts, codes.astype(np.intp), axis=1)
+def _memberships(luts: np.ndarray, codes: np.ndarray, out: np.ndarray | None = None,
+                 spare: np.ndarray | None = None) -> np.ndarray:
+    """The ground-truth memberships (levels, rows, H*W) of a block of code rows.
+
+    Into out, when given, every code must index luts: np.take would copy
+    through a buffer to check them, so it clips instead.  The codes' intp
+    copy then lives in spare, a float64 array of at least as many elements.
+    """
+    if out is None:
+        return np.take(luts, codes.astype(np.intp), axis=1)
+    index = spare.reshape(-1).view(np.intp)[:codes.size].reshape(codes.shape)
+    np.copyto(index, codes)
+    return np.take(luts, index, axis=1, out=out, mode="clip")
 
 
-def _soft_memberships(p: np.ndarray, taus: np.ndarray, mu: int) -> tuple[np.ndarray, np.ndarray]:
+def _soft_memberships(p: np.ndarray, taus: np.ndarray, mu: int, work
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """(p - tau)**(mu - 1) and the memberships exp(-(p - tau)**mu) of prediction rows.
 
     p is a block of rows (rows, H*W) and taus the levels as a (levels, 1, 1)
-    array, so both results are (levels, rows, H*W).  Lanes whose exp argument
-    is at or below EXP_ZERO_BELOW are set to 0 before the one exp call and
-    zeroed after it; the two stores run only when there is such a lane.
+    array, so both results are (levels, rows, H*W), in the first three work
+    arrays of that shape.  Lanes whose exp argument is at or below
+    EXP_ZERO_BELOW are set to 0 before the one exp call and zeroed after it;
+    the two stores run only when there is such a lane.
     """
-    dp = p - taus
-    dp_pow = _int_pow(dp, mu - 1)
-    arg = dp_pow * dp
+    dp = np.subtract(p, taus, out=work[0])
+    dp_pow = _int_pow(dp, mu - 1, work[1:3])
+    arg = np.multiply(dp_pow, dp, out=work[2])
     np.negative(arg, out=arg)
     zero = arg <= EXP_ZERO_BELOW
     underflow = zero.any()
@@ -330,20 +348,21 @@ def _soft_memberships(p: np.ndarray, taus: np.ndarray, mu: int) -> tuple[np.ndar
 
 
 def _score_block(target: LineTarget, rows: slice, taus: np.ndarray, p: np.ndarray,
-                 codes: np.ndarray, ok: np.ndarray, acc: np.ndarray | None) -> np.ndarray:
+                 codes: np.ndarray, ok: np.ndarray, acc: np.ndarray | None, work) -> np.ndarray:
     """The EDC (levels, rows) of one block of rows at every level, NaN where not ok.
 
     p and codes are the block's prediction and code rows (rows, H*W), and
     ok its (level, row) mask of scored terms.  With acc (rows, H*W), the
     gradient terms of the scored terms that are not capped are added into it
-    one level after another.  The block's (levels, rows, H*W) arrays die
-    with the call, so the next block does not start with them alive.
+    one level after another.  The block's (levels, rows, H*W) arrays are the
+    four C-contiguous work arrays, which every block of a call reuses.
     """
     mu = target.mu
     c_norm = target.c_norm[:, rows]
-    dp_pow, d_hat = _soft_memberships(p, taus, mu)
-    d = _memberships(target.luts, codes)
-    inter = (d * d_hat).sum(axis=2)
+    dp_pow, d_hat = _soft_memberships(p, taus, mu, work)
+    spare = work[1] if dp_pow is work[0] else work[0]  # mu == 2 leaves work[1] unused
+    d = _memberships(target.luts, codes, work[3], spare)
+    inter = np.multiply(d, d_hat, out=spare).sum(axis=2)
     denom = target.mass[:, rows] + d_hat.sum(axis=2)
     value = np.divide(2.0 * c_norm * inter, denom, out=np.full(denom.shape, np.nan), where=ok)
     useful = ok & ~(value >= 1.0)
@@ -399,6 +418,9 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
     n_rows = n_dirs * n_classes
     p_rows = pred.reshape(n_rows, h * w)
     codes = target.energies.reshape(n_rows, h * w)
+    if codes.size and int(codes.max()) >= target.luts.shape[1]:
+        raise ValueError(f"ground-truth energies reach {int(codes.max())}, beyond the "
+                         f"{target.luts.shape[1]} entries of the target's level tables")
     valid = target.c_norm > 0
     edc = np.full((n_dirs, n_classes, radius), np.nan)
     edc_rows = edc.reshape(n_rows, radius)
@@ -412,6 +434,7 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
             raise ValueError(f"add_to must be a C-contiguous float64 array of shape {pred.shape}")
         g_rows = grad.reshape(n_rows, h * w)
         block = np.empty((min(step, n_rows), h * w))
+    work = np.empty((4, radius * min(step, n_rows) * h * w))
     for r0 in range(0, n_rows, step):
         rows = slice(r0, r0 + step)
         ok = valid[:, rows]
@@ -420,8 +443,10 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
             acc = block[:ok.shape[1]]
             acc.fill(0.0)
         if ok.any():
+            size = ok.size * h * w
+            views = [buf[:size].reshape(radius, ok.shape[1], h * w) for buf in work]
             edc_rows[rows] = _score_block(target, rows, taus, p_rows[rows], codes[rows],
-                                          ok, acc).T
+                                          ok, acc, views).T
         if want_grad:
             acc *= 1.0 / n_dirs
             acc *= weight

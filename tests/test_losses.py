@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -410,11 +411,40 @@ class TestLineLossReference:
             npt.assert_array_equal(equipotential_dice(first, pred, cfg, radius), edc)
 
     @pytest.mark.usefixtures("block_cap")
-    @pytest.mark.parametrize("mu", [2, 10])
+    @pytest.mark.parametrize("mu", [2, 4, 10])
     @pytest.mark.parametrize("name", sorted(LINE_CASES))
     def test_matches_reference(self, name, mu):
         gt, pred, radius = LINE_CASES[name]()
         self._assert_matches(gt, pred, mu, radius)
+
+    @pytest.mark.parametrize("mu", [2, 10])
+    def test_every_block_of_a_call_reuses_one_set_of_block_arrays(self, monkeypatch, mu):
+        # fresh block arrays at every block made the allocator hand memory back
+        # and page it in again, block after block
+        gt, pred, radius = _ac_case("C", 7, (16, 16), 6)
+        monkeypatch.setattr(losses, "LINE_BLOCK_BYTES", 8 * radius * 16 * 16 * 5)  # 5 rows
+        seen = []
+
+        def spy(*args, real=losses._score_block):
+            seen.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(losses, "_score_block", spy)
+        equipotential_line_loss(gt, pred, LossConfig(mu_exp=mu), radius)
+        assert len(seen) == 5  # 24 rows: four blocks of 5, one of 4
+        for work in seen:
+            assert len(work) == 4 and all(a.flags.c_contiguous for a in work)
+            for a, first in zip(work, seen[0]):
+                assert np.shares_memory(a, first)
+        monkeypatch.undo()
+        self._assert_matches(gt, pred, mu, radius)
+
+    def test_energies_beyond_the_level_tables_are_rejected(self):
+        gt, pred, radius = _ac_case("A", 7, (16, 16), 6)
+        target = line_target(gt, 2, radius)
+        beyond = dataclasses.replace(target, energies=target.energies + 1)
+        with pytest.raises(ValueError, match="reach 5, beyond the 5 entries"):
+            equipotential_line_loss(beyond, pred, LossConfig(mu_exp=2), radius)
 
     @pytest.mark.usefixtures("block_cap")
     @pytest.mark.parametrize("mu", [2, 10])
