@@ -20,11 +20,9 @@ from .fields import (
 )
 from .gradcheck import GradReport, finite_diff_gradient, run_gradcheck
 from .losses import (
-    LineRegions,
     LineTarget,
     LossConfig,
     LossValue,
-    build_line_regions,
     cross_entropy_loss,
     dice_loss,
     equipotential_dice,
@@ -47,7 +45,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ACConfig",
     "GradReport",
-    "LineRegions",
     "LineTarget",
     "LossConfig",
     "LossValue",
@@ -60,7 +57,6 @@ __all__ = [
     "backward",
     "boundary_band",
     "boundary_fmeasure",
-    "build_line_regions",
     "cross_entropy_loss",
     "dice_loss",
     "equipotential_dice",

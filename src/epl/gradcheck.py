@@ -63,7 +63,7 @@ def finite_diff_gradient(loss_fn, field, coordinate, step: float = DEFAULT_STEP)
 
 
 def _scenario(loss_kind: str, dims, rng, mu_exp: int):
-    """Return (field0, loss_fn, analytic_grad, valid_mask_or_None) for a kind."""
+    """Return (field0, loss_fn, analytic_grad, valid_mask_or_None) for a kind of LOSS_KINDS."""
     k, h, w = dims
     ac_cfg = ACConfig(kernel_size=5, splitter="A")
     radius = ac_cfg.radius
@@ -117,28 +117,27 @@ def _scenario(loss_kind: str, dims, rng, mu_exp: int):
             None,
         )
 
-    if loss_kind == "composite":
-        # The training objective itself: CE + lambda1 * point + lambda2 * line
-        # with the potential gradients chained back through the adjoint.
-        cfg = model.TrainConfig(loss=LossConfig(mu_exp=mu_exp), ac=ac_cfg)
-        labels = rng.integers(0, k, (h, w))
-        target = model.ground_truth(labels, k, cfg)
-        raw = rng.uniform(0.05, 1.0, (k, h, w))
-        pred0 = raw / raw.sum(axis=0)
-        return (
-            pred0,
-            lambda x: model.objective(x, labels, cfg, target)[0]["total"],
-            model.objective(pred0, labels, cfg, target)[1],
-            None,
-        )
-
-    raise ValueError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
+    # "composite": the training objective itself, CE + lambda1 * point +
+    # lambda2 * line with the potential gradients chained back through the adjoint.
+    cfg = model.TrainConfig(loss=LossConfig(mu_exp=mu_exp), ac=ac_cfg)
+    labels = rng.integers(0, k, (h, w))
+    target = model.ground_truth(labels, k, cfg)
+    raw = rng.uniform(0.05, 1.0, (k, h, w))
+    pred0 = raw / raw.sum(axis=0)
+    return (
+        pred0,
+        lambda x: model.objective(x, labels, cfg, target)[0]["total"],
+        model.objective(pred0, labels, cfg, target)[1],
+        None,
+    )
 
 
 def run_gradcheck(loss_kind: str, dims=(2, 8, 8), samples: int = 64, seed: int = 0,
                   step: float = DEFAULT_STEP, tol: float = DEFAULT_TOL,
                   mu_exp: int = 2) -> GradReport:
     """Compare analytic vs central-difference gradients at sampled coordinates."""
+    if loss_kind not in LOSS_KINDS:
+        raise ValueError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
     if samples < 1:
         raise ValueError("samples must be >= 1")
     rng = seeding.stream(seed, seeding.STREAM_GRADCHECK, LOSS_KINDS.index(loss_kind))

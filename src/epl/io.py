@@ -57,8 +57,10 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_pgm(path, labels) -> None:
-    """Write an integer label map as a binary P5 PGM (maxval 255)."""
+    """Write an integer (or boolean) label map as a binary P5 PGM (maxval 255)."""
     lab = np.asarray(labels)
+    if lab.dtype.kind not in "biu":
+        raise FormatError(f"label map must be integer, got dtype {lab.dtype}")
     if lab.ndim != 2:
         raise FormatError(f"label map must be 2-D, got shape {lab.shape}")
     if lab.size and (lab.min() < 0 or lab.max() > 255):

@@ -4,19 +4,15 @@ The point loss regresses predicted potential energies onto the ground truth:
 the mean over the elements of each direction, averaged over directions.  The
 line loss scores contour agreement: for each (class, direction, integer
 level) it activates soft level-set memberships ``exp(-(energy - level)**mu)``
-of both energy planes and compares them with a normalized dice-style
-coefficient (EDC) that equals 1 exactly when the prediction matches the
-ground truth.  Cross-entropy and plain dice are probability-domain
-baselines.  The point loss builds its gradient in place in its one array,
-fresh or the caller's out, and the line loss adds its weighted gradient
-into a caller's array (``model.objective`` passes the weighted point
-gradient) or a fresh one.
-
-The membership activation is evaluated over the whole plane, which keeps the
-line loss differentiable everywhere; the sorted equal-count line regions are
-still available via :func:`build_line_regions` for diagnostics and
-visualization.  All computation is float64 with fixed summation order, so
-results are deterministic.
+of both energy planes, over the whole plane so that it is differentiable
+everywhere, and compares them with a normalized dice-style coefficient (EDC)
+that equals 1 exactly when the prediction matches the ground truth.
+Cross-entropy and plain dice are probability-domain baselines.  The point
+loss builds its gradient in place in its one array, fresh or the caller's
+out, and the line loss adds its weighted gradient into a caller's array
+(``model.objective`` passes the weighted point gradient) or a fresh one.
+All computation is float64 with fixed summation order, so results are
+deterministic.
 
 The ground-truth side of the line loss depends on the labels alone:
 :func:`line_target` holds the energies of a one-hot field, nonnegative
@@ -24,23 +20,19 @@ integers in an unsigned dtype (uint8 for every converter and kernel the
 CLI offers), two scalars per (level, direction, class) -- the membership
 mass and the EDC calibration C, 0 at a level with no ground-truth pixel --
 and one small table per level from which the memberships are gathered.
-Training keeps only the level tables of each sample, 1.7 KiB at 96x96 with
-3 classes, splitter C and kernel 9, and rebuilds the energies (216 KiB
-there) from the labels in integers at each step.  Both line_target and the
-loss work a block of (direction, class) rows at a time, at every level at
-once: (levels, rows, H*W) float64 arrays, capped at LINE_BLOCK_BYTES so a
-block stays in L2 but holding at least one row.  Both keep the summation
-order of one plane and level at a time, so the results are bit-identical
-to it.  Each block makes one gather of its ground-truth memberships and one
-exp call: lanes whose argument is at or below EXP_ZERO_BELOW, where exp is
-exactly 0, are set to 0 before it and zeroed after it.  A block's gradient
-terms, with the rows of skipped and capped terms zeroed, are added level
-after level into a block-sized buffer, which is scaled and added into the
-gradient rows.  The loss allocates its four block-sized arrays once per
-call, and every block reuses them: fresh ones per block let the allocator
-give the memory back and page it in again at every block (6144 minor
-faults per call at 96x96 with splitter C and kernel 9, once no larger
-array of a step was allocated).
+Training keeps only the level tables of each sample and rebuilds the
+energies from the labels in integers at each step.  Both line_target and
+the loss work a block of (direction, class) rows at a time, at every level
+at once: (levels, rows, H*W) float64 arrays, capped at LINE_BLOCK_BYTES but
+holding at least one row.  Both keep the summation order of one plane and
+level at a time, so the results are bit-identical to it.  Each block makes
+one gather of its ground-truth memberships and one exp call: lanes whose
+argument is at or below EXP_ZERO_BELOW, where exp is exactly 0, are set to
+0 before it and zeroed after it.  A block's gradient terms, with the rows
+of skipped and capped terms zeroed, are added level after level into a
+block-sized buffer, which is scaled and added into the gradient rows.  The
+loss allocates its four block-sized arrays once per call, and every block
+reuses them.
 """
 
 from __future__ import annotations
@@ -60,9 +52,8 @@ EMPTY_CLASS_EPS = 1e-12
 #: line_target.  Planes are processed a few rows of (direction, class) at a
 #: time, at least one, at every level at once, so a block's few temporaries
 #: stay within a typical 2 MiB L2: 2 rows at 64x64 with radius 3, 1 row (288
-#: KiB, over the cap) at 96x96 with radius 4.  Smaller blocks cost more numpy
-#: calls (one row at 64x64 was 13% slower); 4 rows there were no faster, with
-#: twice the temporaries; broadcasting over every plane at once was slower.
+#: KiB, over the cap) at 96x96 with radius 4.  README's "Measurements" has
+#: the timings of other caps.
 LINE_BLOCK_BYTES = 256 * 1024
 
 #: np.exp underflows to exactly 0.0 at or below this (the threshold is
@@ -148,68 +139,6 @@ def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True,
     else:  # -2 * scale * delta
         np.multiply(delta, -2.0 * scale, out=delta)
     return LossValue(value, delta)
-
-
-@dataclass
-class LineRegions:
-    """Level-set membership of one (class, direction) energy plane pair.
-
-    Pixel indices are flat raster offsets.  ``levels[t]`` holds the
-    ground-truth pixels with energy t+1; ``pred_levels[t]`` is the
-    equal-count counterpart taken from the prediction in ascending energy
-    order (ties broken by raster index), after skipping as many lowest
-    pixels as the ground truth has zeros.  Exterior is energy 0, interior
-    is energy radius + 1.
-    """
-
-    radius: int
-    exterior: np.ndarray
-    interior: np.ndarray
-    levels: tuple[np.ndarray, ...]
-    pred_exterior: np.ndarray
-    pred_interior: np.ndarray
-    pred_levels: tuple[np.ndarray, ...]
-
-
-def build_line_regions(gt_plane, pred_plane, radius: int) -> LineRegions:
-    """Slice two energy planes into matched equipotential line regions.
-
-    The ground-truth plane must be integer-valued in [0, radius + 1].  The
-    construction guarantees ``len(levels[t]) == len(pred_levels[t])`` for
-    every level.
-    """
-    gt = np.asarray(gt_plane, dtype=np.float64)
-    pred = np.asarray(pred_plane, dtype=np.float64)
-    if gt.shape != pred.shape or gt.ndim != 2:
-        raise ValueError(f"planes must be 2-D with equal shapes, got {gt.shape} vs {pred.shape}")
-    rounded = np.rint(gt)
-    if not np.array_equal(rounded, gt):
-        raise ValueError("ground-truth energies must be integer-valued")
-    if gt.size and (rounded.min() < 0 or rounded.max() > radius + 1):
-        raise ValueError(f"ground-truth energies must lie in [0, {radius + 1}]")
-    flat_gt = rounded.ravel().astype(np.int64)
-    order = np.argsort(pred.ravel(), kind="stable")
-
-    exterior = np.flatnonzero(flat_gt == 0)
-    cursor = exterior.size
-    pred_exterior = order[:cursor]
-    levels = []
-    pred_levels = []
-    for tau in range(1, radius + 1):
-        lv = np.flatnonzero(flat_gt == tau)
-        levels.append(lv)
-        pred_levels.append(order[cursor:cursor + lv.size])
-        cursor += lv.size
-    interior = np.flatnonzero(flat_gt == radius + 1)
-    return LineRegions(
-        radius=radius,
-        exterior=exterior,
-        interior=interior,
-        levels=tuple(levels),
-        pred_exterior=pred_exterior,
-        pred_interior=order[cursor:],
-        pred_levels=tuple(pred_levels),
-    )
 
 
 def _int_pow(x: np.ndarray, n: int, out=(None, None)) -> np.ndarray:
@@ -493,6 +422,7 @@ def equipotential_dice(gt, e_pred, cfg: LossConfig, radius: int) -> np.ndarray:
 def cross_entropy_loss(pred, labels, want_grad: bool = True) -> LossValue:
     """Mean per-pixel negative log probability of the true class.
 
+    labels is a nonempty integer (H, W) map with labels in [0, K).
     Probabilities are clamped to PROB_CLAMP before the log; in the clamped
     region the gradient is zero (the clamp is flat there).  With want_grad
     False the gradient is not built and is None.
@@ -501,6 +431,10 @@ def cross_entropy_loss(pred, labels, want_grad: bool = True) -> LossValue:
     lab = np.asarray(labels)
     if p.ndim != 3 or lab.shape != p.shape[1:]:
         raise ValueError(f"prediction {p.shape} does not match label map {lab.shape}")
+    if lab.dtype.kind not in "iu":
+        raise ValueError(f"label map must be integer, got dtype {lab.dtype}")
+    if lab.size == 0:
+        raise ValueError("label map is empty")
     k = p.shape[0]
     if lab.min() < 0 or lab.max() >= k:
         raise ValueError(f"labels must lie in [0, {k})")

@@ -25,6 +25,8 @@ boundary_fmeasure score one width or tolerance through the same helpers.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
@@ -119,11 +121,23 @@ def _dilations(mask: np.ndarray, dists) -> dict:
     return out
 
 
+def _distances(values, name: str, least: int) -> list:
+    """The values as ints (operator.index), each at least least, else a ValueError naming it."""
+    out = []
+    for v in values:
+        try:
+            d = operator.index(v)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {v!r}") from None
+        if d < least:
+            raise ValueError(f"{name} must be >= {least}, got {v}")
+        out.append(d)
+    return out
+
+
 def _bands(trans: np.ndarray, widths) -> dict:
     """{w: band of width w} in the order given, the bands chained from trans."""
-    for w in widths:
-        if w < 1:
-            raise ValueError(f"band width must be >= 1, got {w}")
+    widths = _distances(widths, "band width", 1)
     bands = _dilations(trans, widths)
     return {w: bands[w] for w in widths}
 
@@ -153,9 +167,7 @@ def _fmeasures(stack: np.ndarray, tols) -> dict:
     are chained through the tolerances, one chebyshev_dilate call each; the
     hits are counts of pixels.
     """
-    for t in tols:
-        if t < 0:
-            raise ValueError(f"tolerance must be >= 0, got {t}")
+    tols = _distances(tols, "tolerance", 0)
     n = len(stack) // 2
     pred, gt = stack[:n], stack[n:]
     n_pred, n_gt = np.count_nonzero(pred), np.count_nonzero(gt)
@@ -207,19 +219,19 @@ def evaluate_pair(pred_labels, gt_labels, num_classes: int, trimap_widths, f_tol
     def clean(x: float) -> float | None:
         return None if np.isnan(x) else x
 
-    widths = [int(w) for w in trimap_widths]
     ious, mean = miou(pred_labels, gt_labels, num_classes)
     p, g = np.asarray(pred_labels), np.asarray(gt_labels)
     trans_g = transition_mask(g)
-    bands = _bands(trans_g, widths)
+    bands = _bands(trans_g, trimap_widths)
     classes = np.arange(num_classes)
     stack = np.concatenate((_boundary_planes(p, transition_mask(p), classes),
                             _boundary_planes(g, trans_g, classes)))
-    fs = _fmeasures(stack, [int(t) for t in f_tolerances])
+    fs = _fmeasures(stack, f_tolerances)
     return {
         "per_class_iou": [clean(float(v)) for v in ious],
         "miou": clean(mean),
-        "trimap_iou": {str(w): clean(_trimap(p, g, num_classes, bands[w])) for w in widths},
+        "trimap_iou": {str(w): clean(_trimap(p, g, num_classes, band))
+                       for w, band in bands.items()},
         "boundary_f": {str(t): clean(f) for t, f in fs.items()},
     }
 

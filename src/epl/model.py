@@ -10,22 +10,12 @@ touch only the training objective; the forward path never sees them, so
 inference cost and parameter count are identical with the extra terms on
 or off.
 
-Each net keeps a workspace for the last input shape it saw: every
-intermediate of the conv layers (padded inputs, im2col matrices, the second
-conv's activation, logits, col2im's tap columns and accumulator), 3.33 MB
-at 64x64 and 7.47 MB at 96x96 for one input channel and three classes; relu
-runs in place, so no pre-activation is kept, and the backward writes the
-hidden-layer gradient over the second conv's activation and col2im over its
-im2col matrix once it has read them.
-It is rebuilt only when the shape changes, so a steady-state step allocates
-(and page-faults in) none of them.  col2im runs over zero-bordered, flattened
-planes (the second conv's padded input, which the forward is done with), one
-tap at a time, so each of its nine shifted adds is one contiguous 1-D add
-(fields._add_at_offset).  A training step (backward) also lends the second
-conv's im2col scratch to objective, which writes the predicted energies and
-their gradient there instead of allocating them; nothing reads that matrix
-between its forward GEMM and its weight gradient, before which the backward
-regathers the channels the loan wrote over from the padded input.  Hence:
+col2im runs over zero-bordered, flattened planes, one tap at a time, so
+each of its nine shifted adds is one contiguous 1-D add
+(fields._add_at_offset).  Each net keeps a workspace (_Workspace) for the
+last input shape it saw, rebuilt only when the shape changes, so a
+steady-state step allocates none of its buffers; the forward's cache and a
+training step's energy tensors live in it.  Hence:
 
 - the cache of ``forward_with_cache`` serves one ``backward_from_probs``,
   before the next forward on the same net; probabilities, parameter
@@ -117,25 +107,21 @@ class _Workspace:
     Forward: the zero-bordered padded inputs (pad1, pad2) and im2col
     matrices (cols1, cols2) of both 3x3 convs, a2 and the logits.  Both conv
     GEMMs write into a2 and relu runs in place (conv1's into pad2's
-    interior).  The backward reads the relu masks off a2 and cols2's centre
+    interior); the backward takes the relu masks off a2 and cols2's centre
     tap, relu(z1), since relu(z) > 0 exactly when z > 0.
-    Backward: for the second conv's col2im, one tap's columns dcols
-    (HIDDEN, (H+2)*(W+2)) over the padded planes and the padded accumulator
-    acc.  Four forward buffers are reused once they are read: logits for the
-    softmax-input gradient; a2, once the last layer's weight gradient and
-    the relu mask have read it, for the hidden-layer gradient; pad2 (the
-    same shape and zero border) for col2im's padded output gradient, whose
-    interior alone is written; and cols2 for dcols and acc.  Nothing reads cols2
-    after the second conv's weight gradient but its centre tap, whose mask
-    is taken before col2im runs, so cols2 is the first 72*H*W floats of one
-    scratch array of max(72*H*W, 16*(H+2)*(W+2)) floats, and dcols and acc
-    are its first 16*(H+2)*(W+2), back to back.
+    Backward: once read, logits takes the softmax-input gradient, a2 the
+    hidden-layer gradient and pad2 col2im's padded output gradient (its
+    interior alone).  cols2 is the first 72*H*W floats of one scratch array
+    of max(72*H*W, 16*(H+2)*(W+2)) floats, whose first 16*(H+2)*(W+2) hold
+    col2im's one-tap columns dcols (HIDDEN, (H+2)*(W+2)) and padded
+    accumulator acc, back to back, once the mask of cols2's centre tap is
+    taken.
     Between the forward and the backward the scratch is lent (lend) to
     objective's two energy tensors, 2*|S|*K*H*W floats, and grown when
-    they do not fit (|S|*K > 36); lent counts the floats lent, and the
-    backward regathers from pad2, which holds relu(z1) until col2im, the
-    ceil(lent / (9*H*W)) channels of cols2 they cover.  A forward clears
-    the loan, since it gathers all of cols2.
+    they do not fit; lent counts the floats lent.  The loan lasts until the
+    backward, which regathers from pad2 (relu(z1) until col2im) the
+    ceil(lent / (9*H*W)) channels of cols2 it covered, or until a forward,
+    which gathers all of cols2.
     """
 
     def __init__(self, shape: tuple, num_classes: int):
@@ -486,13 +472,10 @@ def train(dataset, cfg: TrainConfig, eval_dataset=None, on_epoch=None):
     given, is called with the history so far after each epoch.  The net has a
     class for every label up to the largest of either set.  Labels never
     change, so each sample's ground truth is built once per run, and only
-    its line-target level tables are kept (1.7 KiB at 96x96, 3 classes,
-    splitter C, kernel 9); objective rebuilds its integer energies (216 KiB
-    there) at each step, in 0.14-0.23 ms there and 0.09-0.1 ms at 64x64
-    with splitter A and kernel 7 (one 2-CPU Xeon VM core).  Runs are
-    deterministic for a fixed config.  TrainingDiverged, naming the epoch
-    and the sample or batch, stops a run whose loss or updated parameters
-    are not finite.
+    its line-target level tables are kept; objective rebuilds its integer
+    energies at each step.  Runs are deterministic for a fixed config.
+    TrainingDiverged, naming the epoch and the sample or batch, stops a run
+    whose loss or updated parameters are not finite.
     """
     samples = list(dataset)
     eval_samples = samples if eval_dataset is None else list(eval_dataset)

@@ -22,12 +22,12 @@ from epl.fields import ACConfig, anisotropic_convolve, one_hot
 from epl.gradcheck import run_gradcheck
 from epl.losses import (
     LossConfig,
-    build_line_regions,
     equipotential_dice,
     equipotential_line_loss,
     point_loss,
 )
 from epl.metrics import boundary_band, boundary_fmeasure, miou, trimap_iou
+from line_regions_reference import build_line_regions
 from potential_reference import potential_oracle
 
 

@@ -4,7 +4,7 @@ import sys
 from pathlib import Path
 
 import epl
-from epl import fields, metrics
+from epl import fields, losses, metrics
 
 
 def test_every_exported_name_resolves():
@@ -35,6 +35,12 @@ def test_evaluate_pair_scores_each_pair_from_its_own_labels():
 def test_the_conversion_oracle_lives_with_the_tests():
     assert "potential_oracle" not in epl.__all__
     assert not hasattr(epl, "potential_oracle") and not hasattr(fields, "potential_oracle")
+
+
+def test_the_equal_count_line_regions_live_with_the_tests():
+    assert not {"LineRegions", "build_line_regions"} & set(epl.__all__)
+    for name in ("LineRegions", "build_line_regions"):
+        assert not hasattr(epl, name) and not hasattr(losses, name), name
 
 
 def test_the_package_imports_only_numpy_and_the_standard_library():

@@ -89,5 +89,5 @@ class TestRunGradcheck:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             run_gradcheck("point_l2", samples=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown loss kind 'unknown_loss', expected one of"):
             run_gradcheck("unknown_loss")

@@ -79,6 +79,12 @@ class TestPgm:
         with pytest.raises(FormatError):
             write_pgm(tmp_path / "x.pgm", np.array([[256]]))
 
+    @pytest.mark.parametrize("value", [1.7, np.nan])
+    def test_rejects_a_float_map(self, tmp_path, value):
+        with pytest.raises(FormatError, match="label map must be integer, got dtype float64"):
+            write_pgm(tmp_path / "x.pgm", np.full((2, 2), value))
+        assert not (tmp_path / "x.pgm").exists()
+
     def test_rejects_truncated_body(self, tmp_path):
         (tmp_path / "x.pgm").write_bytes(b"P5\n4 4\n255\n\x00\x00")
         with pytest.raises(FormatError):

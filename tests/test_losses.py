@@ -20,7 +20,6 @@ from epl.losses import (
     LineTarget,
     LossConfig,
     _int_pow,
-    build_line_regions,
     cross_entropy_loss,
     dice_loss,
     equipotential_dice,
@@ -28,6 +27,7 @@ from epl.losses import (
     line_target,
     point_loss,
 )
+from line_regions_reference import build_line_regions
 
 
 def random_energies(seed, shape=(4, 2, 6, 6), top=3.0):
@@ -702,6 +702,16 @@ class TestCrossEntropy:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             cross_entropy_loss(np.zeros((2, 3, 3)), np.zeros((4, 4), dtype=int))
+
+    @pytest.mark.parametrize("labels", [np.zeros((3, 3)), np.zeros((3, 3), dtype=bool)],
+                             ids=["float", "bool"])
+    def test_a_non_integer_label_map_is_rejected(self, labels):
+        with pytest.raises(ValueError, match=f"label map must be integer, got dtype {labels.dtype}"):
+            cross_entropy_loss(np.full((2, 3, 3), 0.5), labels)
+
+    def test_an_empty_label_map_is_rejected(self):
+        with pytest.raises(ValueError, match="label map is empty"):
+            cross_entropy_loss(np.zeros((2, 0, 3)), np.zeros((0, 3), dtype=int))
 
 
 class TestDice:

@@ -421,6 +421,21 @@ class TestSharedScoringPath:
         with pytest.raises(ValueError, match=r"^tolerance must be >= 0, got -1$"):
             call(lab)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda lab: evaluate_pair(lab, lab, 2, [3, 1.5], [1]), "band width"),
+        (lambda lab: trimap_iou(lab, lab, 2, 1.5), "band width"),
+        (lambda lab: boundary_band(lab, 1.5), "band width"),
+        (lambda lab: evaluate_pair(lab, lab, 2, [3], [1, 1.5]), "tolerance"),
+        (lambda lab: boundary_fmeasure(lab, lab, 1.5), "tolerance"),
+        (lambda lab: boundary_fmeasure(np.zeros_like(lab), np.zeros_like(lab), 1.5), "tolerance"),
+    ], ids=["evaluate_pair-width", "trimap_iou", "boundary_band", "evaluate_pair-tolerance",
+            "boundary_fmeasure", "boundary_fmeasure-no-boundary"])
+    def test_a_fractional_width_or_tolerance_raises(self, call, name):
+        lab = np.zeros((6, 6), dtype=int)
+        lab[:, 3:] = 1
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 1\.5$"):
+            call(lab)
+
 
 class TestMeanRecord:
     RECORDS = [
