@@ -77,10 +77,9 @@ def cmd_convert(args, cfg: dict) -> int:
     num_classes = args.classes if args.classes is not None else int(labels.max()) + 1
     train_cfg = config_mod.build_train_config(cfg)
     try:
-        planes = one_hot(labels, num_classes)
+        energies = model.label_energies(labels, num_classes, train_cfg)
     except ValueError as exc:
         raise ValueError(f"{args.labels}: {exc}") from exc
-    energies = model.convert(planes, train_cfg)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     io.write_tensor(out, energies)

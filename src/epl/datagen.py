@@ -170,28 +170,25 @@ def _scene_touching_disks(spec: SceneSpec, rng: np.random.Generator) -> np.ndarr
     occupied = np.zeros((h, w), dtype=bool)
     r_lo = max(2, min(h, w) // 12)
     r_hi = max(r_lo + 1, min(h, w) // 7)
-    free = True
     for cls in range(1, spec.classes):
         placed = False
-        if free:
-            for _ in range(_PLACEMENT_ATTEMPTS):
-                pair = _disk_pair(h, w, spec.gap, r_lo, r_hi, rng)
-                if pair is None:
-                    break
-                mask = _disk_mask(h, w, *pair[0]) | _disk_mask(h, w, *pair[1])
-                # Pairs of different classes stay clear of each other so the
-                # thin intra-pair gaps remain background.
-                halo = chebyshev_dilate(mask, 2)
-                if (halo & occupied).any():
-                    continue
-                labels[mask] = cls
-                occupied |= halo
-                placed = True
+        for _ in range(_PLACEMENT_ATTEMPTS):
+            pair = _disk_pair(h, w, spec.gap, r_lo, r_hi, rng)
+            if pair is None:
                 break
+            mask = _disk_mask(h, w, *pair[0]) | _disk_mask(h, w, *pair[1])
+            # Pairs of different classes stay clear of each other so the
+            # thin intra-pair gaps remain background.
+            halo = chebyshev_dilate(mask, 2)
+            if (halo & occupied).any():
+                continue
+            labels[mask] = cls
+            occupied |= halo
+            placed = True
+            break
         if not placed:
             # Tight canvas: restart with one disjoint horizontal band per
             # class, which cannot collide.
-            free = False
             labels[:] = 0
             bands = np.linspace(0, h, spec.classes).astype(int)
             for c, (top, bottom) in enumerate(zip(bands[:-1], bands[1:]), start=1):
@@ -215,22 +212,17 @@ def _scene_random_polygons(spec: SceneSpec, rng: np.random.Generator) -> np.ndar
         cls = int(rng.integers(1, spec.classes))
         for _ in range(_PLACEMENT_ATTEMPTS):
             pts = np.column_stack([rng.uniform(1, h - 1, 3), rng.uniform(1, w - 1, 3)])
-            area2 = abs(
-                (pts[1, 0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
-                - (pts[2, 0] - pts[0, 0]) * (pts[1, 1] - pts[0, 1])
-            )
-            if area2 >= 0.05 * h * w:
+            # twice the signed area; its sign is the orientation of the vertices
+            area2 = ((pts[1, 0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
+                     - (pts[2, 0] - pts[0, 0]) * (pts[1, 1] - pts[0, 1]))
+            if abs(area2) >= 0.05 * h * w:
                 break
+        sign = 1.0 if area2 >= 0 else -1.0
         inside = np.ones((h, w), dtype=bool)
-        sign = None
         for i in range(3):
             ay, ax = pts[i]
             by, bx = pts[(i + 1) % 3]
-            cross = (by - ay) * (xx - ax) - (bx - ax) * (yy - ay)
-            if sign is None:
-                ref_y, ref_x = pts[(i + 2) % 3]
-                sign = 1.0 if (by - ay) * (ref_x - ax) - (bx - ax) * (ref_y - ay) >= 0 else -1.0
-            inside &= sign * cross >= 0
+            inside &= sign * ((by - ay) * (xx - ax) - (bx - ax) * (yy - ay)) >= 0
         labels[inside] = cls
     return labels
 

@@ -9,11 +9,12 @@ stream (seed, GRADCHECK, kind), so a report is bit-reproducible for a seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import model, seeding
-from .fields import ACConfig, anisotropic_convolve, one_hot
+from .fields import ACConfig, one_hot
 from .losses import (
     LossConfig,
     cross_entropy_loss,
@@ -65,71 +66,38 @@ def finite_diff_gradient(loss_fn, field, coordinate, step: float = DEFAULT_STEP)
 def _scenario(loss_kind: str, dims, rng, mu_exp: int):
     """Return (field0, loss_fn, analytic_grad, valid_mask_or_None) for a kind of LOSS_KINDS."""
     k, h, w = dims
-    ac_cfg = ACConfig(kernel_size=5, splitter="A")
-    radius = ac_cfg.radius
-    e_shape = (len(ac_cfg.directions), k, h, w)
-
+    cfg = model.TrainConfig(loss=LossConfig(mu_exp=mu_exp),
+                            ac=ACConfig(kernel_size=5, splitter="A"))
+    radius = cfg.ac.radius
+    e_shape = (len(cfg.ac.directions), k, h, w)
+    valid = None
     if loss_kind in ("point_l1", "point_l2"):
-        cfg = LossConfig(norm=loss_kind[-2:], mu_exp=mu_exp)
+        point_cfg = LossConfig(norm=loss_kind[-2:], mu_exp=mu_exp)
         e_gt = rng.uniform(0.0, radius + 1.0, e_shape)
         pred0 = rng.uniform(0.0, radius + 1.0, e_shape)
-        valid = None
-        if cfg.norm == "l1":
+        if point_cfg.norm == "l1":
             valid = np.abs(e_gt - pred0) > L1_KINK_MARGIN
-        return (
-            pred0,
-            lambda x: point_loss(e_gt, x, cfg).value,
-            point_loss(e_gt, pred0, cfg).gradient,
-            valid,
-        )
-
-    if loss_kind == "line":
-        cfg = LossConfig(mu_exp=mu_exp)
-        labels = rng.integers(0, k, (h, w))
-        e_gt = anisotropic_convolve(one_hot(labels, k), ac_cfg)
+        loss = partial(point_loss, e_gt, cfg=point_cfg)
+    elif loss_kind == "line":
+        e_gt = model.label_energies(rng.integers(0, k, (h, w)), k, cfg)
         pred0 = rng.uniform(0.0, radius + 1.0, e_shape)
-        return (
-            pred0,
-            lambda x: equipotential_line_loss(e_gt, x, cfg, radius).value,
-            equipotential_line_loss(e_gt, pred0, cfg, radius).gradient,
-            None,
-        )
-
-    if loss_kind == "cross_entropy":
+        loss = partial(equipotential_line_loss, e_gt, cfg=cfg.loss, radius=radius)
+    elif loss_kind == "dice":
+        gt = one_hot(rng.integers(0, k, (h, w)), k)
+        pred0 = rng.uniform(0.0, 1.0, (k, h, w))
+        loss = partial(dice_loss, gt=gt)
+    else:  # cross_entropy and composite score a probability field
         labels = rng.integers(0, k, (h, w))
         raw = rng.uniform(0.05, 1.0, (k, h, w))
         pred0 = raw / raw.sum(axis=0)
-        return (
-            pred0,
-            lambda x: cross_entropy_loss(x, labels).value,
-            cross_entropy_loss(pred0, labels).gradient,
-            None,
-        )
-
-    if loss_kind == "dice":
-        labels = rng.integers(0, k, (h, w))
-        gt = one_hot(labels, k)
-        pred0 = rng.uniform(0.0, 1.0, (k, h, w))
-        return (
-            pred0,
-            lambda x: dice_loss(x, gt).value,
-            dice_loss(pred0, gt).gradient,
-            None,
-        )
-
-    # "composite": the training objective itself, CE + lambda1 * point +
-    # lambda2 * line with the potential gradients chained back through the adjoint.
-    cfg = model.TrainConfig(loss=LossConfig(mu_exp=mu_exp), ac=ac_cfg)
-    labels = rng.integers(0, k, (h, w))
-    target = model.ground_truth(labels, k, cfg)
-    raw = rng.uniform(0.05, 1.0, (k, h, w))
-    pred0 = raw / raw.sum(axis=0)
-    return (
-        pred0,
-        lambda x: model.objective(x, labels, cfg, target)[0]["total"],
-        model.objective(pred0, labels, cfg, target)[1],
-        None,
-    )
+        if loss_kind == "composite":
+            # the training objective itself, CE + lambda1 * point + lambda2 * line with
+            # the potential gradients chained back through the adjoint
+            target = model.ground_truth(labels, k, cfg)
+            return (pred0, lambda x: model.objective(x, labels, cfg, target)[0]["total"],
+                    model.objective(pred0, labels, cfg, target)[1], None)
+        loss = partial(cross_entropy_loss, labels=labels)
+    return pred0, lambda x: loss(x).value, loss(pred0).gradient, valid
 
 
 def run_gradcheck(loss_kind: str, dims=(2, 8, 8), samples: int = 64, seed: int = 0,
@@ -138,8 +106,8 @@ def run_gradcheck(loss_kind: str, dims=(2, 8, 8), samples: int = 64, seed: int =
     """Compare analytic vs central-difference gradients at sampled coordinates."""
     if loss_kind not in LOSS_KINDS:
         raise ValueError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    if type(samples) is not int or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     rng = seeding.stream(seed, seeding.STREAM_GRADCHECK, LOSS_KINDS.index(loss_kind))
     field0, loss_fn, analytic, valid = _scenario(loss_kind, dims, rng, mu_exp)
 

@@ -31,8 +31,8 @@ argument is at or below EXP_ZERO_BELOW, where exp is exactly 0, are set to
 0 before it and zeroed after it.  A block's gradient terms, with the rows
 of skipped and capped terms zeroed, are added level after level into a
 block-sized buffer, which is scaled and added into the gradient rows.  The
-loss allocates its four block-sized arrays once per call, and every block
-reuses them.
+loss allocates its four block-sized arrays once per call and line_target
+its one, and every block reuses them.
 """
 
 from __future__ import annotations
@@ -127,6 +127,8 @@ def point_loss(e_gt, e_pred, cfg: LossConfig, want_grad: bool = True,
         raise ValueError(f"energy shapes differ: {gt.shape} vs {pred.shape}")
     if gt.ndim != 4:
         raise ValueError(f"energies must have shape (|S|, classes, height, width), got {gt.shape}")
+    if gt.size == 0:
+        raise ValueError("energies are empty")
     delta = np.subtract(gt, pred, out=_output(out, pred.shape, np.float64))
     scale = 1.0 / gt.shape[0] / delta[0].size
     l1 = cfg.norm == "l1"
@@ -190,7 +192,7 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
     largest energy (kernel_size**2 for the box filter) is covered.  Unsigned
     integer energies are kept as given, others are stored in the smallest
     unsigned dtype that holds them.  The level scalars are taken over the
-    same row blocks as the loss's, one gather of memberships per block.
+    same row blocks as the loss's, through its one gather of memberships.
     """
     if type(mu) is not int or mu < 2 or mu % 2 != 0:
         raise ValueError(f"mu must be an even integer >= 2, got {mu!r}")
@@ -214,17 +216,17 @@ def line_target(e_gt, mu: int, radius: int) -> LineTarget:
     luts = np.exp(-_int_pow(values[None, :] - levels[:, None], mu))
     n_dirs, n_classes, h, w = gt.shape
     codes = energies.reshape(n_dirs * n_classes, h * w)
-    # compared in an integer dtype that holds both the codes and every level
-    code_type = np.result_type(codes, np.min_scalar_type(radius))
-    level_codes = np.arange(1, radius + 1, dtype=code_type)[:, None, None]
     present = np.empty((radius, codes.shape[0]), dtype=bool)
     mass = np.empty(present.shape)
     square_sum = np.empty(present.shape)
     step = _block_rows(radius, h * w)
+    size = min(step, codes.shape[0]) * h * w
+    memberships, spare = np.empty(radius * size), np.empty(size)  # reused by every block
     for r0 in range(0, codes.shape[0], step):
         rows = slice(r0, r0 + step)
-        d = _memberships(luts, codes[rows])
-        present[:, rows] = (codes[rows] == level_codes).any(axis=2)
+        d = memberships[:radius * codes[rows].size].reshape((radius,) + codes[rows].shape)
+        _memberships(luts, codes[rows], d, spare)
+        present[:, rows] = (d == 1.0).any(axis=2)  # 1.0 only at a pixel's own level
         mass[:, rows] = d.sum(axis=2)
         square_sum[:, rows] = np.square(d, out=d).sum(axis=2)
     c_norm = np.divide(mass, square_sum, out=np.zeros(mass.shape), where=present)
@@ -237,16 +239,14 @@ def _block_rows(radius: int, plane_size: int) -> int:
     return max(1, LINE_BLOCK_BYTES // max(1, 8 * radius * plane_size))
 
 
-def _memberships(luts: np.ndarray, codes: np.ndarray, out: np.ndarray | None = None,
-                 spare: np.ndarray | None = None) -> np.ndarray:
-    """The ground-truth memberships (levels, rows, H*W) of a block of code rows.
+def _memberships(luts: np.ndarray, codes: np.ndarray, out: np.ndarray,
+                 spare: np.ndarray) -> np.ndarray:
+    """The ground-truth memberships (levels, rows, H*W) of a block of code rows, into out.
 
-    Into out, when given, every code must index luts: np.take would copy
-    through a buffer to check them, so it clips instead.  The codes' intp
-    copy then lives in spare, a float64 array of at least as many elements.
+    Every code must index luts: np.take would copy through a buffer to check
+    them, so it clips instead.  The codes' intp copy lives in spare, a
+    float64 array of at least as many elements.
     """
-    if out is None:
-        return np.take(luts, codes.astype(np.intp), axis=1)
     index = spare.reshape(-1).view(np.intp)[:codes.size].reshape(codes.shape)
     np.copyto(index, codes)
     return np.take(luts, index, axis=1, out=out, mode="clip")

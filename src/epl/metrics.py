@@ -67,6 +67,7 @@ def _class_ious(p, g, num_classes: int) -> np.ndarray:
 def miou(pred_labels, gt_labels, num_classes: int) -> tuple[np.ndarray, float]:
     """Per-class IoU (NaN for classes absent from both maps) and their mean."""
     p, g = _check_label_pair(pred_labels, gt_labels)
+    (num_classes,) = _distances((num_classes,), "class count", 1)
     ious = _class_ious(p, g, num_classes)
     with np.errstate(invalid="ignore"):
         mean = float(np.nanmean(ious))
@@ -188,6 +189,7 @@ def trimap_iou(pred_labels, gt_labels, num_classes: int, width: int) -> float:
     Only the band is scored, so only its labels must lie in [0, num_classes).
     """
     p, g = _check_label_pair(pred_labels, gt_labels)
+    (num_classes,) = _distances((num_classes,), "class count", 1)
     return _trimap(p, g, num_classes, boundary_band(g, width))
 
 

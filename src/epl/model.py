@@ -4,11 +4,11 @@ The network is fixed: 3x3 conv (input -> 8) + ReLU, 3x3 conv (8 -> 8) +
 ReLU, 1x1 conv (8 -> classes), per-pixel softmax, all with zero padding.
 Parameters live in one flat float64 vector.  Training is plain SGD with
 momentum on one objective (see objective): cross-entropy plus weighted
-point and line terms evaluated after converting both the one-hot ground
-truth and the prediction to the potential domain.  The potential losses
-touch only the training objective; the forward path never sees them, so
-inference cost and parameter count are identical with the extra terms on
-or off.
+point and line terms evaluated after converting both the ground truth
+(label_energies) and the prediction to the potential domain.  The
+potential losses touch only the training objective; the forward path
+never sees them, so inference cost and parameter count are identical with
+the extra terms on or off.
 
 col2im runs over zero-bordered, flattened planes, one tap at a time, so
 each of its nine shifted adds is one contiguous 1-D add
@@ -246,11 +246,9 @@ class TinyNet:
 
     def _init_params(self, seed: int) -> None:
         rng = seeding.stream(seed, seeding.STREAM_MODEL_INIT)
-        fan_in = {"w1": self.in_channels * 9, "b1": self.in_channels * 9,
-                  "w2": HIDDEN * 9, "b2": HIDDEN * 9,
-                  "w3": HIDDEN, "b3": HIDDEN}
         for name, shape in self._shapes:
-            a = np.sqrt(1.0 / fan_in[name])
+            if len(shape) > 1:  # a weight; the bias after it shares its fan-in
+                a = np.sqrt(1.0 / math.prod(shape[1:]))
             self.param(name)[...] = rng.uniform(-a, a, shape)
 
     def _as_input(self, image) -> np.ndarray:
@@ -356,21 +354,21 @@ def _convert_adjoint(energy_grad: np.ndarray, cfg: TrainConfig) -> np.ndarray:
     return ac_adjoint(energy_grad, cfg.ac)
 
 
-def _label_energies(labels, num_classes: int, cfg: TrainConfig) -> np.ndarray:
-    """The checked labels' one-hot field, converted, in the smallest unsigned
-    dtype that holds the largest energy (ACConfig.max_energy; uint8 up to the
-    box filter's kernel 15): exact integers with no float64 copy."""
+def label_energies(labels, num_classes: int, cfg: TrainConfig) -> np.ndarray:
+    """The one labels-to-energies path: the checked labels' one-hot field,
+    converted in the smallest unsigned dtype that holds ACConfig.max_energy
+    (uint8 up to the box filter's kernel 15), exact with no float64 copy."""
     return convert(one_hot(labels, num_classes, np.min_scalar_type(cfg.ac.max_energy)), cfg)
 
 
 def ground_truth(labels, num_classes: int, cfg: TrainConfig) -> LineTarget:
     """Everything the potential-domain losses need from one label map.
 
-    The labels are checked and converted in integers (_label_energies),
+    The labels are checked and converted in integers (label_energies),
     which line_target keeps as they are; the point loss reads the same
     integer energies.
     """
-    return line_target(_label_energies(labels, num_classes, cfg), cfg.loss.mu_exp,
+    return line_target(label_energies(labels, num_classes, cfg), cfg.loss.mu_exp,
                        cfg.ac.radius)
 
 
@@ -403,7 +401,7 @@ def objective(probs, labels, cfg: TrainConfig, target: LineTarget | None = None,
         if target is None:
             target = ground_truth(labels, probs.shape[0], cfg)
         else:
-            target = replace(target, energies=_label_energies(labels, probs.shape[0], cfg))
+            target = replace(target, energies=label_energies(labels, probs.shape[0], cfg))
         pred_out = grad_out = None
         if scratch is not None:
             shape = _energy_shape(probs.shape, cfg)

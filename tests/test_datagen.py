@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from epl import io
+from epl import datagen, io
 from epl.datagen import (
     SceneSpec,
     generate_dataset,
@@ -28,6 +28,25 @@ BAD_MANIFESTS = {
     '{samples: []}': "not valid JSON (Expecting property name",
     '': "not valid JSON (Expecting value",
 }
+
+
+#: sha256 of the label bytes of samples 0-3 at seed 0, per scene kind (spec's 32x32 canvas,
+#: 3 classes) and for a touching_disks canvas too tight for free placement.  Labels come
+#: from integer and uniform draws only; images also take normal draws and are not pinned.
+PINNED_LABELS = {
+    "adjacent_rects": "ba757acffeedf89b827f0ac3b48b1079ddd914fa59e80f772861a2523e10de33",
+    "touching_disks": "45f128dc0db576ba0b11cd80bcc7ab9798c577c6ae8b3562c1f2d691bb4f4767",
+    "random_polygons": "f5e67b4538ef0e28a7e6facd54fa00eb3fc0a81a7b9563f0c38dd6256b2b5478",
+    "mixed": "816ba5d9331f8a340bbd4a2f612b98a3f5be4bb3af365212a8f6c4d36a0206de",
+    "disk_bands": "b9352713971297894109fc3affc37cd5b28aeda4a8717d71dff4ce869d8a87f4",
+}
+
+
+def label_digest(scene: SceneSpec) -> str:
+    digest = hashlib.sha256()
+    for sample in generate_dataset(scene):
+        digest.update(sample.labels.tobytes())
+    return digest.hexdigest()
 
 
 def spec(**kw):
@@ -155,6 +174,25 @@ class TestGeneration:
         disk = generate_sample(spec(kind="touching_disks", noise_sigma=0.0), 0)
         npt.assert_array_equal(samples[0].labels, rect.labels)
         npt.assert_array_equal(samples[1].labels, disk.labels)
+
+
+class TestPinnedLabels:
+    @pytest.mark.parametrize("kind", datagen.SCENE_KINDS)
+    def test_each_kind_reproduces_its_pinned_labels(self, kind):
+        assert label_digest(spec(kind=kind)) == PINNED_LABELS[kind]
+
+    def test_a_tight_disk_canvas_takes_the_band_fallback(self, monkeypatch):
+        boxes = []
+        place = datagen._disk_pair
+
+        def spy(box_h, box_w, *args):
+            boxes.append((box_h, box_w))
+            return place(box_h, box_w, *args)
+
+        monkeypatch.setattr(datagen, "_disk_pair", spy)
+        tight = spec(kind="touching_disks", height=24, width=24, classes=4, noise_sigma=0.02)
+        assert label_digest(tight) == PINNED_LABELS["disk_bands"]
+        assert any(box_h < 24 for box_h, _ in boxes)  # a band is shorter than the canvas
 
 
 def _components(mask):

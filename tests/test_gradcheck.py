@@ -89,5 +89,8 @@ class TestRunGradcheck:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             run_gradcheck("point_l2", samples=0)
+        for samples in (1.5, True, 4.0):
+            with pytest.raises(ValueError, match=f"samples must be an integer >= 1, got {samples}"):
+                run_gradcheck("line", samples=samples)
         with pytest.raises(ValueError, match="unknown loss kind 'unknown_loss', expected one of"):
             run_gradcheck("unknown_loss")

@@ -67,6 +67,12 @@ class TestPointLoss:
         assert point_loss(gt, pred, LossConfig(norm="l1")).value == 1.0 / 3
         assert point_loss(gt, pred, LossConfig(norm="l2")).value == 1.0 / 3
 
+    @pytest.mark.parametrize("shape", [(1, 1, 0, 0), (4, 2, 6, 0), (0, 3, 4, 4)])
+    def test_empty_energies_are_rejected(self, shape):
+        e = np.zeros(shape)
+        with pytest.raises(ValueError, match="^energies are empty$"):
+            point_loss(e, e, LossConfig())
+
     def test_norm_is_selectable(self):
         gt = random_energies(1)
         pred = random_energies(2)

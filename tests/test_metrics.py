@@ -428,8 +428,13 @@ class TestSharedScoringPath:
         (lambda lab: evaluate_pair(lab, lab, 2, [3], [1, 1.5]), "tolerance"),
         (lambda lab: boundary_fmeasure(lab, lab, 1.5), "tolerance"),
         (lambda lab: boundary_fmeasure(np.zeros_like(lab), np.zeros_like(lab), 1.5), "tolerance"),
+        (lambda lab: miou(lab, lab, 1.5), "class count"),
+        (lambda lab: trimap_iou(lab, lab, 1.5, 1), "class count"),
+        (lambda lab: trimap_iou(np.zeros_like(lab), np.zeros_like(lab), 1.5, 1), "class count"),
+        (lambda lab: evaluate_pair(lab, lab, 1.5, [1], [1]), "class count"),
     ], ids=["evaluate_pair-width", "trimap_iou", "boundary_band", "evaluate_pair-tolerance",
-            "boundary_fmeasure", "boundary_fmeasure-no-boundary"])
+            "boundary_fmeasure", "boundary_fmeasure-no-boundary", "miou-classes",
+            "trimap_iou-classes", "trimap_iou-empty-band-classes", "evaluate_pair-classes"])
     def test_a_fractional_width_or_tolerance_raises(self, call, name):
         lab = np.zeros((6, 6), dtype=int)
         lab[:, 3:] = 1
