@@ -8,6 +8,7 @@ stream (seed, GRADCHECK, kind), so a report is bit-reproducible for a seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -49,8 +50,7 @@ class GradReport:
 
 def finite_diff_gradient(loss_fn, field, coordinate, step: float = DEFAULT_STEP) -> float:
     """Central difference of a scalar loss along one coordinate of `field`."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    _check_positive("step", step)
     x = np.array(field, dtype=np.float64, copy=True)
     base = x[coordinate]
     x[coordinate] = base + step
@@ -61,6 +61,11 @@ def finite_diff_gradient(loss_fn, field, coordinate, step: float = DEFAULT_STEP)
     if not (np.isfinite(hi) and np.isfinite(lo)):
         raise ValueError("loss is not finite at the perturbed points")
     return (hi - lo) / (2.0 * step)
+
+
+def _check_positive(name: str, value: float) -> None:
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and > 0, got {value}")
 
 
 def _scenario(loss_kind: str, dims, rng, mu_exp: int):
@@ -108,6 +113,7 @@ def run_gradcheck(loss_kind: str, dims=(2, 8, 8), samples: int = 64, seed: int =
         raise ValueError(f"unknown loss kind {loss_kind!r}, expected one of {LOSS_KINDS}")
     if type(samples) is not int or samples < 1:
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    _check_positive("tol", tol)
     rng = seeding.stream(seed, seeding.STREAM_GRADCHECK, LOSS_KINDS.index(loss_kind))
     field0, loss_fn, analytic, valid = _scenario(loss_kind, dims, rng, mu_exp)
 

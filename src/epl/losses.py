@@ -28,8 +28,8 @@ holding at least one row.  Both keep the summation order of one plane and
 level at a time, so the results are bit-identical to it.  Each block makes
 one gather of its ground-truth memberships and one exp call: lanes whose
 argument is at or below EXP_ZERO_BELOW, where exp is exactly 0, are set to
-0 before it and zeroed after it.  A block's gradient terms, with the rows
-of skipped and capped terms zeroed, are added level after level into a
+0 before it and zeroed after it.  Each scored term that is not capped forms
+its gradient on its own plane and adds it, level after level, into a
 block-sized buffer, which is scaled and added into the gradient rows.  The
 loss allocates its four block-sized arrays once per call and line_target
 its one, and every block reuses them.
@@ -281,10 +281,10 @@ def _score_block(target: LineTarget, rows: slice, taus: np.ndarray, p: np.ndarra
     """The EDC (levels, rows) of one block of rows at every level, NaN where not ok.
 
     p and codes are the block's prediction and code rows (rows, H*W), and
-    ok its (level, row) mask of scored terms.  With acc (rows, H*W), the
-    gradient terms of the scored terms that are not capped are added into it
-    one level after another.  The block's (levels, rows, H*W) arrays are the
-    four C-contiguous work arrays, which every block of a call reuses.
+    ok its (level, row) mask of scored terms.  With acc (rows, H*W), each
+    scored term that is not capped forms its gradient on its own plane, in
+    level order, and adds it into its row of acc.  The block's (levels, rows,
+    H*W) arrays are the four C-contiguous work arrays, reused by every block.
     """
     mu = target.mu
     c_norm = target.c_norm[:, rows]
@@ -294,25 +294,15 @@ def _score_block(target: LineTarget, rows: slice, taus: np.ndarray, p: np.ndarra
     inter = np.multiply(d, d_hat, out=spare).sum(axis=2)
     denom = target.mass[:, rows] + d_hat.sum(axis=2)
     value = np.divide(2.0 * c_norm * inter, denom, out=np.full(denom.shape, np.nan), where=ok)
-    useful = ok & ~(value >= 1.0)
-    if acc is None or not useful.any():
-        return value
-    coeff = np.divide(2.0 * c_norm, denom * denom, out=np.zeros(denom.shape), where=ok)
-    # coeff * (d * denom - inter) * mu * dp_pow * d_hat, in place.  Skipped and
-    # capped rows take no gradient: zeroing their dp_pow keeps a +-inf prediction
-    # there out of a 0 * inf, and zeroing their terms last drops a NaN one.  acc
-    # starts at +0.0 and so is never -0.0: adding the zeroed rows leaves it as is.
-    idle = ~useful
-    dp_pow[idle] = 0.0
-    term = np.multiply(d, denom[..., None], out=d)
-    term -= inter[..., None]
-    np.multiply(coeff[..., None], term, out=term)
-    term *= mu
-    term *= dp_pow
-    term *= d_hat
-    term[idle] = 0.0
-    for level_term in term:
-        acc += level_term
+    if acc is not None:
+        for t, r in zip(*np.nonzero(ok & ~(value >= 1.0))):
+            term = np.multiply(d[t, r], denom[t, r], out=d[t, r])
+            term -= inter[t, r]
+            term *= 2.0 * c_norm[t, r] / (denom[t, r] * denom[t, r])
+            term *= mu
+            term *= dp_pow[t, r]
+            term *= d_hat[t, r]
+            acc[r] += term
     return value
 
 
@@ -327,9 +317,9 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
     times the gradient of their sum of (1 - EDC) w.r.t. the prediction.
 
     Planes are processed in blocks of whole rows (see _block_rows), each
-    scored at every level at once (see _score_block): every gradient element
-    sums its terms in level order and every row sum is the plane's own
-    pairwise sum, as when one plane was scored at a time.  A block's sum is
+    scored at every level at once and given its gradient plane by plane (see
+    _score_block): every gradient element sums its terms in level order and
+    every row sum is the plane's own pairwise sum.  A block's sum is
     scaled by 1/|S| and then by weight before it is added, also when the
     block has no scored term.  A fresh array starts at -0.0, the exact
     additive identity, so it takes the scaled sums with their zero signs.

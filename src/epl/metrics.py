@@ -35,6 +35,8 @@ def _check_label_pair(pred, gt):
     g = np.asarray(gt)
     if p.shape != g.shape or p.ndim != 2:
         raise ValueError(f"label maps must be 2-D with equal shapes, got {p.shape} vs {g.shape}")
+    if p.size == 0:
+        raise ValueError("label maps are empty")
     for side, lab in (("prediction", p), ("ground truth", g)):
         if lab.dtype.kind not in "biu":
             raise ValueError(f"{side} label map must be integer, got dtype {lab.dtype}")
@@ -88,7 +90,7 @@ def transition_mask(labels) -> np.ndarray:
 
 
 def chebyshev_dilate(mask, dist: int) -> np.ndarray:
-    """Grow a boolean mask to all pixels within Chebyshev distance dist.
+    """Grow a boolean mask to all pixels within Chebyshev distance dist, an int >= 0.
 
     A Chebyshev ball is a row interval times a column interval: a row pass,
     then a column pass, both in place on one fresh copy.  At reach r a pass
@@ -97,6 +99,7 @@ def chebyshev_dilate(mask, dist: int) -> np.ndarray:
     remainder comes last, so a reach of d takes ceil(log2(d + 1)) steps of
     two slice ORs.
     """
+    (dist,) = _distances((dist,), "distance", 0)
     out = np.array(mask, dtype=bool)
     for view in (out, np.swapaxes(out, -1, -2)):
         full = min(dist, view.shape[-1] - 1)

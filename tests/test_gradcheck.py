@@ -94,3 +94,7 @@ class TestRunGradcheck:
                 run_gradcheck("line", samples=samples)
         with pytest.raises(ValueError, match="unknown loss kind 'unknown_loss', expected one of"):
             run_gradcheck("unknown_loss")
+        # a step or tol that is not finite and > 0 would read as a failing gradient
+        for name, bad in [(n, v) for n in ("step", "tol") for v in (np.inf, np.nan, -1.0, 0.0)]:
+            with pytest.raises(ValueError, match=rf"^{name} must be finite and > 0, got {bad}$"):
+                run_gradcheck("line", samples=4, **{name: bad})

@@ -453,7 +453,7 @@ class TestLineLossReference:
             equipotential_line_loss(beyond, pred, LossConfig(mu_exp=2), radius)
 
     @pytest.mark.usefixtures("block_cap")
-    @pytest.mark.parametrize("mu", [2, 10])
+    @pytest.mark.parametrize("mu", [2, 4, 10])
     def test_capped_terms(self, mu):
         gt, pred, radius = _ac_case("A", 7, (16, 16), 6)
         self._assert_matches(gt, gt, mu, radius)  # every term capped

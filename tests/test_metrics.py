@@ -441,6 +441,17 @@ class TestSharedScoringPath:
         with pytest.raises(ValueError, match=rf"^{name} must be an integer, got 1\.5$"):
             call(lab)
 
+    @pytest.mark.parametrize("call", [
+        lambda lab: miou(lab, lab, 2),
+        lambda lab: evaluate_pair(lab, lab, 2, [1], [1]),
+        lambda lab: trimap_iou(lab, lab, 2, 1),
+        lambda lab: boundary_fmeasure(lab, lab, 1),
+    ], ids=["miou", "evaluate_pair", "trimap_iou", "boundary_fmeasure"])
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4), (3, 0)], ids=["0x0", "0x4", "3x0"])
+    def test_empty_label_maps_raise(self, call, shape):
+        with pytest.raises(ValueError, match=r"^label maps are empty$"):
+            call(np.zeros(shape, dtype=np.uint8))
+
 
 class TestMeanRecord:
     RECORDS = [
@@ -523,6 +534,15 @@ class TestChebyshevDilate:
         for dist in (0, 1, 2, 5, 9, 10, 11, 16, 17, 25):
             npt.assert_array_equal(chebyshev_dilate(stack, dist),
                                    [brute_dilate(m, dist) for m in stack], err_msg=f"dist {dist}")
+
+    def test_a_negative_or_fractional_distance_raises(self):
+        mask = np.eye(5, dtype=bool)
+        with pytest.raises(ValueError, match=r"^distance must be >= 0, got -1$"):
+            chebyshev_dilate(mask, -1)
+        for dist in (1.5, 2.0, "2"):
+            with pytest.raises(ValueError, match=rf"^distance must be an integer, got {dist!r}$"):
+                chebyshev_dilate(mask, dist)
+        npt.assert_array_equal(chebyshev_dilate(mask, np.int64(1)), brute_dilate(mask, 1))
 
 
 def brute_fmeasure(pred, gt, k, tol):
