@@ -32,16 +32,24 @@ from .losses import NORMS, dice_loss
 
 
 def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    """payload as sorted, indented JSON at path, making its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _echo_config(out_dir, command: str, cfg: dict, extra: dict | None = None) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    payload = {"command": command, "config": cfg}
-    if extra:
-        payload.update(extra)
-    _write_json(out / "config_echo.json", payload)
+def _write_csv(path, header, rows) -> None:
+    """A header line and one line per row (an iterable of values) at path, making its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _echo_config(out_dir, command: str, cfg: dict, **extra) -> None:
+    _write_json(Path(out_dir) / "config_echo.json", {"command": command, "config": cfg, **extra})
 
 
 def _flag_overrides(args) -> dict:
@@ -91,7 +99,7 @@ def cmd_convert(args, cfg: dict) -> int:
             for ci in range(energies.shape[1]):
                 plane = np.rint(energies[si, ci] * scale).astype(np.int32)
                 io.write_pgm(render_dir / f"dir{si}_class{ci}.pgm", plane)
-    _echo_config(out.parent, "convert", cfg, {"labels": str(args.labels), "classes": num_classes})
+    _echo_config(out.parent, "convert", cfg, labels=str(args.labels), classes=num_classes)
     print(f"wrote {energies.shape} potential fields to {out}")
     return 0
 
@@ -132,15 +140,12 @@ def cmd_train(args, cfg: dict) -> int:
 
 
 def _write_history(out_dir: Path, cfg: dict, echo: dict, history: list[dict]) -> None:
-    """history.json and history.csv of the epochs so far; the first write makes out_dir
-    and echoes the config there, so a run stopped after an epoch explains itself."""
+    """history.json and history.csv of the epochs so far; the first write also echoes the
+    config into out_dir, so a run stopped after an epoch explains itself."""
     if len(history) == 1:
-        _echo_config(out_dir, "train", cfg, echo)
+        _echo_config(out_dir, "train", cfg, **echo)
     _write_json(out_dir / "history.json", history)
-    with (out_dir / "history.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(history[0].keys()))
-        writer.writeheader()
-        writer.writerows(history)
+    _write_csv(out_dir / "history.csv", list(history[0]), (r.values() for r in history))
 
 
 def _checkpoint_train_config(stem, sidecar: dict) -> model.TrainConfig:
@@ -191,7 +196,6 @@ def cmd_loss(args, cfg: dict) -> int:
         for name, total in sums.items()
     ]
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         _write_json(args.out, records)
     print(json.dumps(records, indent=2))
     return 0
@@ -204,7 +208,6 @@ def cmd_gradcheck(args, cfg: dict) -> int:
     reports = [asdict(gradcheck.run_gradcheck(kind, seed=cfg["seed"], **given)) for kind in kinds]
     payload = {"command": "gradcheck", "seed": cfg["seed"], "reports": reports}
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         _write_json(args.out, payload)
     print(json.dumps(payload, indent=2))
     failing = [r for r in reports if r["fraction_passing"] < 0.95]
@@ -237,18 +240,12 @@ def cmd_eval(args, cfg: dict) -> int:
         per_sample.append({"sample": gt_path.stem, **record})
     summary = metrics.mean_record(per_sample)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "report.json", {"per_sample": per_sample, "mean": summary})
-    with (out / "report.csv").open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sample", "miou"]
-                        + [f"trimap_w{w}" for w in widths]
-                        + [f"f_tol{t}" for t in tols])
-        for r in per_sample:
-            writer.writerow([r["sample"], r["miou"]]
-                            + [r["trimap_iou"][str(w)] for w in widths]
-                            + [r["boundary_f"][str(t)] for t in tols])
-    _echo_config(out, "eval", cfg, {"pred": str(pred_dir), "gt": str(gt_dir)})
+    _write_csv(out / "report.csv",
+               ["sample", "miou", *(f"trimap_w{w}" for w in widths), *(f"f_tol{t}" for t in tols)],
+               ([r["sample"], r["miou"], *(r["trimap_iou"][str(w)] for w in widths),
+                 *(r["boundary_f"][str(t)] for t in tols)] for r in per_sample))
+    _echo_config(out, "eval", cfg, pred=str(pred_dir), gt=str(gt_dir))
     print(json.dumps(summary, indent=2))
     return 0
 
@@ -267,15 +264,10 @@ def cmd_ablate(args, cfg: dict) -> int:
         value = getattr(getattr(train_cfg, section), name)  # as the built config stores it
         _net, history = model.train(train_set, train_cfg, eval_dataset=val_set or None)
         last = history[-1]
-        rows.append({"sweep": args.sweep, name: value, **{k: last[k] for k in ABLATE_COLUMNS}})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"ablate_{args.sweep}.csv"
-    with csv_path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["sweep", name, *ABLATE_COLUMNS])
-        writer.writeheader()
-        writer.writerows(rows)
-    _echo_config(out, "ablate", cfg, {"sweep": args.sweep, "rows": len(rows)})
+        rows.append([args.sweep, value, *(last[k] for k in ABLATE_COLUMNS)])
+    csv_path = Path(args.out) / f"ablate_{args.sweep}.csv"
+    _write_csv(csv_path, ["sweep", name, *ABLATE_COLUMNS], rows)
+    _echo_config(args.out, "ablate", cfg, sweep=args.sweep, rows=len(rows))
     print(f"wrote {len(rows)} rows to {csv_path}")
     return 0
 

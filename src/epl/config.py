@@ -77,7 +77,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
             raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: top level must be a JSON object")

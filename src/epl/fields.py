@@ -123,13 +123,16 @@ def _zero_bordered(f: np.ndarray, r: int) -> np.ndarray:
     return pad
 
 
-def _output(out, shape: tuple, dtype) -> np.ndarray:
-    """out, which must be a C-contiguous array of this shape and dtype, or a fresh one."""
+def _output(out, shape: tuple, dtype, name: str = "out") -> np.ndarray:
+    """out, which must be a C-contiguous array of this shape and dtype, or a fresh one.
+
+    name is the argument's name in the error message.
+    """
     if out is None:
         return np.empty(shape, dtype=dtype)
     if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == dtype
             and out.flags.c_contiguous):
-        raise ValueError(f"out must be a C-contiguous {np.dtype(dtype)} array of shape {shape}")
+        raise ValueError(f"{name} must be a C-contiguous {np.dtype(dtype)} array of shape {shape}")
     return out
 
 

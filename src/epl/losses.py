@@ -347,10 +347,8 @@ def _line_terms(gt, e_pred, mu: int, radius: int, want_grad: bool, weight: float
     step = _block_rows(radius, h * w)
     grad = None
     if want_grad:
-        grad = np.full(pred.shape, -0.0) if add_to is None else add_to
-        if not (isinstance(grad, np.ndarray) and grad.dtype == np.float64
-                and grad.shape == pred.shape and grad.flags.c_contiguous):
-            raise ValueError(f"add_to must be a C-contiguous float64 array of shape {pred.shape}")
+        grad = (np.full(pred.shape, -0.0) if add_to is None
+                else _output(add_to, pred.shape, np.float64, "add_to"))
         g_rows = grad.reshape(n_rows, h * w)
         block = np.empty((min(step, n_rows), h * w))
     work = np.empty((4, radius * min(step, n_rows) * h * w))

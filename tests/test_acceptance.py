@@ -3,6 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  The desk-scale training comparison (criteria 7 and 8) is computed
 once in a module fixture and shared; its 15 runs go to a process pool.
+Both carry the `desk` mark, so `pytest -m "not desk"` skips the fixture.
 """
 
 import csv
@@ -275,6 +276,7 @@ def desk_results():
     return {arm: runs[i::len(ARMS)] for i, arm in enumerate(ARMS)}
 
 
+@pytest.mark.desk
 def test_criterion_7_desk_scale_epl_effect(desk_results):
     ce, epl = desk_results["ce"], desk_results["epl"]
     baseline_in_band = all(0.7 <= r["miou"] <= 0.95 for r in ce)
@@ -289,6 +291,7 @@ def test_criterion_7_desk_scale_epl_effect(desk_results):
            f"{max(r['seconds'] for r in ce + epl):.0f}s")
 
 
+@pytest.mark.desk
 def test_criterion_8_sc_ablation_direction(desk_results):
     epl, sc = desk_results["epl"], desk_results["sc"]
     holds = sum(a["trimap"] >= s["trimap"] - 0.005 for a, s in zip(epl, sc))

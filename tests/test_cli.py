@@ -718,6 +718,16 @@ class TestErrorPaths:
         assert "unknown config key 'loss.reduction'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("content", [b"{bad", b"[1]", b"\xff{}"],
+                             ids=["not-json", "not-an-object", "not-utf8"])
+    def test_a_malformed_config_file_exits_2_naming_it(self, tmp_path, capsys, content):
+        config = tmp_path / "malformed.json"
+        config.write_bytes(content)
+        out = tmp_path / "run"
+        assert run("train", "--config", config, "--data", tmp_path / "data", "--out", out) == 2
+        assert re.match(rf"error: {re.escape(str(config))}: ", capsys.readouterr().err)
+        assert not out.exists()
+
     def test_train_on_one_sample_names_the_empty_training_split(self, tmp_path, capsys):
         data, out = tmp_path / "data", tmp_path / "run"
         assert run("gen", "--out", data, "--count", 1, "--height", 16, "--width", 16) == 0

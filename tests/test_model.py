@@ -66,14 +66,24 @@ class TestForward:
             net.forward(np.zeros((8, 8)))
 
     def test_forward_path_independent_of_loss_weights(self):
-        # Inference never touches the potential-domain terms: bit-identical
-        # output whatever the training weights say.
-        net = TinyNet(1, 3, seed=3)
-        image = np.random.default_rng(3).normal(size=(8, 8))
-        out_a = net.forward(image)
-        out_b = net.forward(image)
-        npt.assert_array_equal(out_a, out_b)
-        assert TinyNet(1, 3, seed=3).parameter_count == net.parameter_count
+        # The paper's "no parameter overhead": the potential-domain terms change
+        # only the objective, so a net trained with any of them has the
+        # parameters of a cross-entropy one, as test_parameter_count_formula counts.
+        samples = [tiny_sample(seed) for seed in (0, 1)]
+        arms = {
+            "ce": (ACConfig(kernel_size=7), LossConfig(lambda1=0.0, lambda2=0.0)),
+            "ac-A-k7-mu10": (ACConfig(kernel_size=7, splitter="A"), LossConfig(mu_exp=10)),
+            "ac-C-k9-mu2": (ACConfig(kernel_size=9, splitter="C"), LossConfig(mu_exp=2)),
+            "sc-k7": (ACConfig(kernel_size=7, converter="sc"), LossConfig()),
+            "l1": (ACConfig(kernel_size=7), LossConfig(norm="l1")),
+        }
+        shapes = {}
+        for name, (ac, loss) in arms.items():
+            cfg = TrainConfig(epochs=1, batch_size=2, learning_rate=0.05, seed=0, ac=ac, loss=loss)
+            net, _ = model.train(samples, cfg)
+            shapes[name] = (net.parameter_count, net.theta.shape)
+        expected = 3 * 3 * 1 * 8 + 8 + 3 * 3 * 8 * 8 + 8 + 8 * 3 + 3
+        assert shapes == dict.fromkeys(arms, (expected, (expected,)))
 
 
 def reference_forward_backward(net, image, dprobs):
